@@ -1,11 +1,12 @@
 // fusion_server: the fusion service behind a TCP wire (net/server.hpp).
 //
 // Binds a loopback TCP endpoint speaking the length-prefixed frame protocol
-// (net/frame.hpp, spec in docs/service.md), feeds admitted requests into
-// svc::FusionService in batches, and defends every edge: per-tenant quotas,
-// queue-depth shedding, slow-loris timeouts, bounded connections, and the
-// net.* fault points for drills. With --store the plan cache gains its
-// crash-safe persistent tier, so a kill -9 loses no admitted plan.
+// (net/frame.hpp, spec in docs/service.md), runs each admitted request on a
+// persistent worker pool through svc::FusionService::run_job, replying as
+// soon as that job's verdict exists, and defends every edge: per-tenant
+// quotas, queue-depth shedding, slow-loris timeouts, bounded connections,
+// and the net.* fault points for drills. With --store the plan cache gains
+// its crash-safe persistent tier, so a kill -9 loses no admitted plan.
 //
 // Examples:
 //   fusion_server --port 0 --port-file /tmp/port --store /tmp/plans
@@ -41,18 +42,16 @@ void usage() {
         "  --host A           IPv4 address to bind (default 127.0.0.1)\n"
         "  --port N           TCP port; 0 = kernel-assigned (default 0)\n"
         "  --port-file FILE   write the bound port here (for scripts)\n"
-        "  --workers N        service worker threads (default 4)\n"
+        "  --workers N        worker threads, one job each at a time (default 4)\n"
         "  --store DIR        persistent plan-tier directory (default: off)\n"
         "  --checkpoint FILE  service checkpoint manifest (default: off)\n"
         "  --cache N          plan-cache capacity (default 128)\n"
-        "  --plan-batch N     jobs per worker pull, batch-planned together (default 8)\n"
         "  --delta K          delta re-plan against cached graphs differing on <= K\n"
         "                     edges; 0 disables (default 4)\n"
         "  --plan-policy P    planning objective: fastest (default) or smallest\n"
         "  --deadline-ms D    service-wide per-job deadline (default unlimited)\n"
         "  --max-conns N      connection cap (default 64)\n"
         "  --max-inflight N   admitted-job cap before shedding (default 256)\n"
-        "  --batch-max N      jobs per service batch (default 16)\n"
         "  --quota-rate R     per-tenant tokens/sec; 0 disables quotas (default 0)\n"
         "  --quota-burst B    per-tenant burst size (default 8)\n"
         "  --idle-ms T        idle connection timeout (default 5000)\n"
@@ -83,6 +82,7 @@ void print_stats(const lf::net::Server& server) {
     w.kv("read_faults", s.read_faults);
     w.kv("write_faults", s.write_faults);
     w.kv("torn_responses", s.torn_responses);
+    w.kv("jobs_admitted", s.jobs_admitted);
     w.kv("jobs_verified", s.jobs_verified);
     w.kv("jobs_quarantined", s.jobs_quarantined);
     w.end_object();
@@ -194,8 +194,6 @@ int main(int argc, char** argv) {
             config.service.checkpoint_path = next_arg(i);
         } else if (std::strcmp(a, "--cache") == 0) {
             config.service.plan_cache_capacity = static_cast<std::size_t>(std::stoul(next_arg(i)));
-        } else if (std::strcmp(a, "--plan-batch") == 0) {
-            config.service.plan_batch = std::stoi(next_arg(i));
         } else if (std::strcmp(a, "--delta") == 0) {
             config.service.delta_max_edges = std::stoi(next_arg(i));
         } else if (std::strcmp(a, "--plan-policy") == 0) {
@@ -212,8 +210,6 @@ int main(int argc, char** argv) {
             config.max_connections = std::stoi(next_arg(i));
         } else if (std::strcmp(a, "--max-inflight") == 0) {
             config.max_inflight = std::stoi(next_arg(i));
-        } else if (std::strcmp(a, "--batch-max") == 0) {
-            config.batch_max = std::stoi(next_arg(i));
         } else if (std::strcmp(a, "--quota-rate") == 0) {
             config.quota.refill_per_sec = std::stod(next_arg(i));
         } else if (std::strcmp(a, "--quota-burst") == 0) {

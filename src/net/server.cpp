@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
+#include "graph/solver_workspace.hpp"
 #include "support/diagnostics.hpp"
 #include "support/faultpoint.hpp"
 #include "support/json.hpp"
@@ -52,8 +54,7 @@ Server::Server(ServerConfig config)
       boot_tag_(static_cast<std::uint64_t>(::getpid())) {
     if (config_.max_connections < 1) config_.max_connections = 1;
     if (config_.max_inflight < 1) config_.max_inflight = 1;
-    if (config_.batch_max < 1) config_.batch_max = 1;
-    if (config_.batch_wait_ms < 0) config_.batch_wait_ms = 0;
+    if (config_.service.workers < 1) config_.service.workers = 1;
     if (config_.shed_retry_after_ms < 1) config_.shed_retry_after_ms = 1;
 }
 
@@ -91,8 +92,15 @@ bool Server::start(std::string* error) {
     port_ = ntohs(bound.sin_port);
     stop_.store(false);
     started_.store(true);
+    {
+        const std::lock_guard<std::mutex> lock(queue_mutex_);
+        draining_ = false;
+    }
     acceptor_ = std::thread(&Server::accept_loop, this);
-    batcher_ = std::thread(&Server::batch_loop, this);
+    workers_.reserve(static_cast<std::size_t>(config_.service.workers));
+    for (int i = 0; i < config_.service.workers; ++i) {
+        workers_.emplace_back(&Server::worker_loop, this);
+    }
     return true;
 }
 
@@ -122,11 +130,17 @@ void Server::stop() {
         if (reap.empty()) break;
         for (auto& t : reap) t.join();
     }
-    // 3. The batcher drains every already-admitted job, then exits (its
-    //    responses go nowhere -- the connections are gone -- but the jobs
-    //    still reach the checkpoint and the persistent plan tier).
-    batch_cv_.notify_all();
-    if (batcher_.joinable()) batcher_.join();
+    // 3. With every reader gone nothing more is admitted: the workers drain
+    //    the queue, then exit (the drained jobs' responses go nowhere -- the
+    //    connections are gone -- but their verdicts are counted and reach
+    //    the checkpoint and the persistent plan tier).
+    {
+        const std::lock_guard<std::mutex> lock(queue_mutex_);
+        draining_ = true;
+    }
+    queue_cv_.notify_all();
+    for (auto& t : workers_) t.join();
+    workers_.clear();
     if (listen_fd_ >= 0) {
         ::close(listen_fd_);
         listen_fd_ = -1;
@@ -388,107 +402,96 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn, Frame frame) 
     job.spec = std::move(spec);
     inflight_.fetch_add(1);
     {
-        const std::lock_guard<std::mutex> lock(batch_mutex_);
+        // Counted before a worker can finish it: verified + quarantined
+        // never runs ahead of admitted in a stats() snapshot.
+        const std::lock_guard<std::mutex> lock(stats_mutex_);
+        ++stats_.jobs_admitted;
+    }
+    {
+        const std::lock_guard<std::mutex> lock(queue_mutex_);
         queue_.push_back(std::move(job));
     }
-    batch_cv_.notify_one();
+    queue_cv_.notify_one();
 }
 
-void Server::batch_loop() {
+void Server::worker_loop() {
+    // One solver arena for the worker's whole life: steady-state planning
+    // reuses its buffers (graph/solver_workspace.hpp).
+    PlannerWorkspace ws;
     for (;;) {
-        std::vector<PendingJob> batch;
+        PendingJob job;
         {
-            std::unique_lock<std::mutex> lock(batch_mutex_);
-            batch_cv_.wait(lock, [&] { return stop_.load() || !queue_.empty(); });
-            if (queue_.empty()) return;  // stop requested, fully drained
-            if (config_.batch_wait_ms > 0 &&
-                queue_.size() < static_cast<std::size_t>(config_.batch_max) && !stop_.load()) {
-                // Brief top-up window: tiny batches amortize badly over the
-                // per-run() pool spin-up.
-                batch_cv_.wait_for(lock, std::chrono::milliseconds(config_.batch_wait_ms), [&] {
-                    return stop_.load() ||
-                           queue_.size() >= static_cast<std::size_t>(config_.batch_max);
-                });
-            }
-            const std::size_t take =
-                std::min(queue_.size(), static_cast<std::size_t>(config_.batch_max));
-            batch.reserve(take);
-            for (std::size_t i = 0; i < take; ++i) {
-                batch.push_back(std::move(queue_.front()));
-                queue_.pop_front();
-            }
+            std::unique_lock<std::mutex> lock(queue_mutex_);
+            queue_cv_.wait(lock, [&] { return draining_ || !queue_.empty(); });
+            if (queue_.empty()) return;  // draining, and every job is done
+            job = std::move(queue_.front());
+            queue_.pop_front();
         }
-        run_batch(std::move(batch));
-    }
-}
-
-void Server::run_batch(std::vector<PendingJob> batch) {
-    std::vector<svc::JobSpec> specs;
-    specs.reserve(batch.size());
-    for (const auto& j : batch) specs.push_back(j.spec);
-
-    svc::RunReport report;
-    bool ran = false;
-    std::string run_error;
-    try {
-        report = service_.run(specs);
-        ran = true;
-    } catch (const std::exception& e) {
-        // run() throws only for manifest bugs (duplicate ids); the server
-        // generates unique ids, so this is belt-and-braces: answer every
-        // request rather than leaving clients to time out.
-        run_error = e.what();
-    }
-
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        const PendingJob& job = batch[i];
-        if (!ran) {
+        std::optional<svc::JobRecord> rec;
+        std::string error;
+        try {
+            rec = service_.run_job(job.spec, ws);
+        } catch (const std::exception& e) {
+            // run_job ends job-level failures in a Quarantined record; only
+            // something like an allocation failure lands here.
+            error = e.what();
+        }
+        if (rec.has_value()) {
+            reply(job, *rec);
+        } else {
+            // Answer and count the job rather than leave its client to time
+            // out.
+            {
+                const std::lock_guard<std::mutex> lock(stats_mutex_);
+                ++stats_.jobs_quarantined;
+            }
             Frame err;
             err.type = FrameType::Error;
             err.aux = static_cast<std::uint16_t>(WireError::Internal);
             err.request_id = job.request_id;
-            err.payload = run_error;
+            err.payload = error;
             (void)send_frame(job.conn, err);
-            continue;
         }
-        const svc::JobRecord& rec = report.jobs[i];  // run() preserves order
-        const bool verified = rec.status == svc::JobStatus::Verified;
-        {
-            const std::lock_guard<std::mutex> lock(stats_mutex_);
-            if (verified) {
-                ++stats_.jobs_verified;
-            } else {
-                ++stats_.jobs_quarantined;
-            }
-        }
-        json::Writer w;
-        w.begin_object();
-        w.kv("id", rec.id);
-        w.kv("status", svc::to_string(rec.status));
-        w.kv("algorithm", rec.algorithm);
-        w.kv("level", rec.level);
-        w.kv("cache", svc::to_string(rec.cache));
-        w.kv("attempts", static_cast<int>(rec.attempts.size()));
-        w.kv("quarantine_reason", rec.quarantine_reason);
-        // Echo of the deadline the job actually ran under, so clients (and
-        // tests) can verify wire-to-worker propagation.
-        w.kv("deadline_ms", job.spec.deadline_ms);
-        w.kv("tenant", rec.tenant);
-        w.end_object();
+        inflight_.fetch_sub(1);
+    }
+}
 
-        Frame resp;
-        resp.type = FrameType::Response;
-        resp.aux = verified ? 1 : 2;
-        resp.request_id = job.request_id;
-        resp.deadline_ms = job.spec.deadline_ms;
-        resp.tenant = job.spec.tenant;
-        resp.payload = w.str();
-        if (send_frame(job.conn, resp)) {
-            const std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++stats_.responses_sent;
+void Server::reply(const PendingJob& job, const svc::JobRecord& rec) {
+    const bool verified = rec.status == svc::JobStatus::Verified;
+    {
+        const std::lock_guard<std::mutex> lock(stats_mutex_);
+        if (verified) {
+            ++stats_.jobs_verified;
+        } else {
+            ++stats_.jobs_quarantined;
         }
     }
-    inflight_.fetch_sub(static_cast<int>(batch.size()));
+    json::Writer w;
+    w.begin_object();
+    w.kv("id", rec.id);
+    w.kv("status", svc::to_string(rec.status));
+    w.kv("algorithm", rec.algorithm);
+    w.kv("level", rec.level);
+    w.kv("cache", svc::to_string(rec.cache));
+    w.kv("attempts", static_cast<int>(rec.attempts.size()));
+    w.kv("quarantine_reason", rec.quarantine_reason);
+    // Echo of the deadline the job actually ran under, so clients (and
+    // tests) can verify wire-to-worker propagation.
+    w.kv("deadline_ms", job.spec.deadline_ms);
+    w.kv("tenant", rec.tenant);
+    w.end_object();
+
+    Frame resp;
+    resp.type = FrameType::Response;
+    resp.aux = verified ? 1 : 2;
+    resp.request_id = job.request_id;
+    resp.deadline_ms = job.spec.deadline_ms;
+    resp.tenant = job.spec.tenant;
+    resp.payload = w.str();
+    if (send_frame(job.conn, resp)) {
+        const std::lock_guard<std::mutex> lock(stats_mutex_);
+        ++stats_.responses_sent;
+    }
 }
 
 bool Server::send_frame(const std::shared_ptr<Connection>& conn, const Frame& f) {

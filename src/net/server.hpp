@@ -4,10 +4,15 @@
 //
 // One acceptor thread owns the listening socket; each accepted connection
 // gets a reader thread that drives the strict frame decoder (net/frame.hpp)
-// and a shared batcher thread turns admitted requests into `svc::JobSpec`
-// batches for the existing worker pool (svc/service.hpp) -- the service
-// keeps its own retry / breaker / gate / cache machinery; the server only
-// feeds and answers it.
+// and turns each admitted request into a `svc::JobSpec` on a bounded queue.
+// A persistent pool of `service.workers` threads drains that queue one job
+// at a time: each worker keeps one PlannerWorkspace for its whole life,
+// runs the job through svc::FusionService::run_job (which keeps its own
+// retry / breaker / gate / cache / checkpoint machinery), and writes that
+// job's Response the moment its verdict exists. No job waits for another
+// job's verdict, so a slow plan never holds back a fast reply; responses
+// on one connection may therefore arrive out of request order (clients
+// match them by request_id).
 //
 // Every edge is defended, and every defense is observable in stats():
 //
@@ -31,11 +36,12 @@
 //   net.write         response write fails; connection closes
 //   net.torn_response response cut off mid-frame; connection closes
 //
-// stop() is graceful: the acceptor dies first, connections drain, the
-// batcher finishes every admitted job (responses go to still-open
-// connections), and only then do the threads join. A SIGKILL instead of
-// stop() is the crash the persistent plan tier and the checkpoint manifest
-// exist for (svc/plancache.hpp, svc/report.hpp).
+// stop() is graceful: the acceptor dies first, then the readers, so no
+// job is admitted after that; the workers then drain every admitted job
+// (its verdict is counted and checkpointed even though its connection is
+// gone) and exit. A SIGKILL instead of stop() is the crash the persistent
+// plan tier and the checkpoint manifest exist for (svc/plancache.hpp,
+// svc/report.hpp).
 
 #include <atomic>
 #include <chrono>
@@ -72,11 +78,6 @@ struct ServerConfig {
     int max_connections = 64;
     /// Admitted-but-unanswered job cap; above it new requests shed.
     int max_inflight = 256;
-    /// Jobs per svc::FusionService::run() batch.
-    int batch_max = 16;
-    /// How long the batcher waits for more requests before running a
-    /// partial batch (latency/throughput knob).
-    int batch_wait_ms = 2;
     /// Close connections with no bytes for this long between frames.
     int idle_timeout_ms = 5000;
     /// Close connections that started a frame but feed it slower than this
@@ -85,8 +86,9 @@ struct ServerConfig {
     /// Minimum retry-after hint carried by Shed frames.
     int shed_retry_after_ms = 50;
     TenantQuota quota;
-    /// Configuration of the embedded fusion service (workers, retries,
-    /// breakers, checkpoint path, plan cache + persistent tier).
+    /// Configuration of the embedded fusion service (workers = the
+    /// server's worker threads, retries, breakers, checkpoint path, plan
+    /// cache + persistent tier).
     svc::ServiceConfig service;
 };
 
@@ -108,6 +110,7 @@ struct ServerStats {
     std::uint64_t read_faults = 0;     // net.read fired
     std::uint64_t write_faults = 0;    // net.write fired
     std::uint64_t torn_responses = 0;  // net.torn_response fired
+    std::uint64_t jobs_admitted = 0;   // passed every gate, queued for a worker
     std::uint64_t jobs_verified = 0;
     std::uint64_t jobs_quarantined = 0;
 };
@@ -120,7 +123,7 @@ class Server {
     Server(const Server&) = delete;
     Server& operator=(const Server&) = delete;
 
-    /// Binds, listens, and spawns the acceptor + batcher threads. False
+    /// Binds, listens, and spawns the acceptor + worker threads. False
     /// (with *error set) if the socket cannot be set up.
     [[nodiscard]] bool start(std::string* error = nullptr);
 
@@ -153,8 +156,10 @@ class Server {
     void accept_loop();
     void serve_connection(std::shared_ptr<Connection> conn);
     void handle_frame(const std::shared_ptr<Connection>& conn, Frame frame);
-    void batch_loop();
-    void run_batch(std::vector<PendingJob> batch);
+    /// A worker's life: take one job, run it, reply; exit once draining
+    /// and the queue is empty.
+    void worker_loop();
+    void reply(const PendingJob& job, const svc::JobRecord& rec);
 
     /// Serializes and writes `f` on `conn`, honoring the net.write /
     /// net.torn_response fault points; a failed or torn write closes the
@@ -184,15 +189,11 @@ class Server {
     /// checkpoint, is what carries warm state across restarts).
     const std::uint64_t boot_tag_;
 
-    std::thread acceptor_;
-    std::thread batcher_;
-    std::mutex conns_mutex_;
-    std::vector<std::thread> conn_threads_;
-    std::list<std::weak_ptr<Connection>> conns_;
-
-    std::mutex batch_mutex_;
-    std::condition_variable batch_cv_;
-    std::deque<PendingJob> queue_;
+    std::mutex queue_mutex_;
+    std::condition_variable queue_cv_;
+    std::deque<PendingJob> queue_;      // guarded by queue_mutex_
+    bool draining_ = false;             // guarded by queue_mutex_
+    /// Admitted jobs not yet answered (queued or running).
     std::atomic<int> inflight_{0};
 
     std::mutex quota_mutex_;
@@ -202,6 +203,12 @@ class Server {
         bool initialized = false;
     };
     std::unordered_map<std::string, Bucket> buckets_;
+
+    std::mutex conns_mutex_;
+    std::vector<std::thread> conn_threads_;        // guarded by conns_mutex_
+    std::list<std::weak_ptr<Connection>> conns_;   // guarded by conns_mutex_
+    std::thread acceptor_;
+    std::vector<std::thread> workers_;
 };
 
 }  // namespace lf::net

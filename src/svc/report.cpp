@@ -1,10 +1,12 @@
 #include "svc/report.hpp"
 
-#include <cstdio>
-#include <filesystem>
+#include <cerrno>
+#include <fcntl.h>
 #include <fstream>
 #include <sstream>
+#include <sys/stat.h>
 #include <unistd.h>
+#include <unordered_map>
 
 #include "support/faultpoint.hpp"
 #include "support/json.hpp"
@@ -213,60 +215,54 @@ namespace {
 
 constexpr const char* kCheckpointHeader = "lfsvc-checkpoint v1";
 
-/// Reads the whole manifest (empty string when absent/unreadable).
-std::string slurp(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in.good()) return {};
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
-
-/// Crash-safe whole-file replace: temp file in the same directory, flush +
-/// fsync, rename over the final name. A kill -9 at any point leaves either
-/// the old manifest or the new one under `path`, never a torn file.
-bool replace_file_atomic(const std::string& path, const std::string& bytes) {
-    const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-    std::FILE* f = std::fopen(tmp.c_str(), "wb");
-    if (f == nullptr) return false;
-    bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-    ok = ok && std::fflush(f) == 0;
-    ok = ok && ::fsync(::fileno(f)) == 0;
-    ok = std::fclose(f) == 0 && ok;
-    if (ok) ok = std::rename(tmp.c_str(), path.c_str()) == 0;
-    if (!ok) {
-        std::error_code ec;
-        std::filesystem::remove(tmp, ec);
+/// write(2) until every byte is out, retrying interrupted calls.
+bool write_all(int fd, const std::string& bytes) {
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+        const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+        if (n < 0 && errno == EINTR) continue;
+        if (n <= 0) return false;
+        off += static_cast<std::size_t>(n);
     }
-    return ok;
+    return true;
 }
 
 }  // namespace
 
 bool append_checkpoint(const std::string& path, const JobRecord& rec) {
     if (faultpoint::triggered("svc.checkpoint")) return false;
-    std::string contents = slurp(path);
-    if (contents.empty()) {
-        contents = std::string(kCheckpointHeader) + '\n';
-    } else if (contents.back() != '\n') {
-        // A torn tail from a pre-crash-safe writer (or outside damage): keep
-        // the partial line -- load_checkpoint skips and counts it -- but
+    const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+    if (fd < 0) return false;
+    std::string bytes;
+    struct stat st {};
+    bool ok = ::fstat(fd, &st) == 0;
+    if (ok && st.st_size == 0) {
+        bytes = std::string(kCheckpointHeader) + '\n';
+    } else if (ok) {
+        char last = '\n';
+        ok = ::pread(fd, &last, 1, st.st_size - 1) == 1;
+        // A torn tail (a kill -9 mid-append, or outside damage): keep the
+        // partial line -- load_checkpoint skips and counts it -- but
         // terminate it so the new record starts on its own line.
-        contents.push_back('\n');
+        if (last != '\n') bytes.push_back('\n');
     }
-    contents += rec.id;
-    contents += '\t';
-    contents += to_string(rec.status);
-    contents += '\t';
-    contents += std::to_string(rec.attempts.size());
-    contents += '\t';
-    contents += rec.algorithm;
-    contents += '\n';
-    return replace_file_atomic(path, contents);
+    bytes += rec.id;
+    bytes += '\t';
+    bytes += to_string(rec.status);
+    bytes += '\t';
+    bytes += std::to_string(rec.attempts.size());
+    bytes += '\t';
+    bytes += rec.algorithm;
+    bytes += '\n';
+    ok = ok && write_all(fd, bytes);
+    ok = ok && ::fsync(fd) == 0;
+    ok = ::close(fd) == 0 && ok;
+    return ok;
 }
 
 std::vector<CheckpointEntry> load_checkpoint(const std::string& path, int* malformed) {
     std::vector<CheckpointEntry> entries;
+    std::unordered_map<std::string, std::size_t> index;  // id -> entries slot
     if (malformed != nullptr) *malformed = 0;
     std::ifstream in(path);
     if (!in.good()) return entries;
@@ -276,6 +272,12 @@ std::vector<CheckpointEntry> load_checkpoint(const std::string& path, int* malfo
     std::string line;
     while (std::getline(in, line)) {
         if (line.empty() || line == kCheckpointHeader || line.front() == '#') continue;
+        if (in.eof()) {
+            // No '\n' after the last line: a writer died mid-append, so even
+            // fields that parse may be cut short.
+            count_malformed();
+            continue;
+        }
         std::istringstream fields(line);
         CheckpointEntry e;
         std::string status;
@@ -302,15 +304,12 @@ std::vector<CheckpointEntry> load_checkpoint(const std::string& path, int* malfo
         }
         // Last record for an id wins (a resumed run may have re-finished a
         // job the killed run also finished).
-        bool replaced = false;
-        for (auto& existing : entries) {
-            if (existing.id == e.id) {
-                existing = e;
-                replaced = true;
-                break;
-            }
+        const auto [it, fresh] = index.try_emplace(e.id, entries.size());
+        if (fresh) {
+            entries.push_back(std::move(e));
+        } else {
+            entries[it->second] = std::move(e);
         }
-        if (!replaced) entries.push_back(std::move(e));
     }
     return entries;
 }

@@ -18,12 +18,13 @@
 //   lfsvc-checkpoint v1
 //   <id>\t<status>\t<attempts>\t<algorithm>
 //
-// Writes are crash-safe: each append rewrites the manifest through a temp
-// file in the same directory (write, flush, fsync, rename), so a kill -9
-// leaves either the previous manifest or the new one -- never a torn file
-// under the final name. Loading still tolerates unknown/malformed lines
-// (skipped AND counted, for the report) and duplicate ids (last record
-// wins), so even a manifest damaged outside our control is usable.
+// Each append writes one line with O_APPEND and fsyncs it, so its cost
+// does not grow with the manifest. A kill -9 mid-append can tear at most
+// the last line; the next append first terminates a torn tail with '\n',
+// and loading skips AND counts unknown/malformed lines (for the report),
+// so the torn record's job is simply redone. Duplicate ids are tolerated
+// (last record wins), so even a manifest damaged outside our control is
+// usable.
 
 #include <string>
 #include <vector>
@@ -43,11 +44,12 @@ struct CheckpointEntry {
     std::string algorithm;
 };
 
-/// Appends one record (creating the file with its header line if needed).
-/// The write is atomic: temp file, flush, fsync, rename -- a crash leaves
-/// the previous manifest intact, never a torn one. Returns false on IO
-/// failure or when the "svc.checkpoint" fault point fires; the service
-/// treats that as a warning, not a job failure.
+/// Appends one record (creating the file with its header line if needed):
+/// one O_APPEND write, then fsync. Earlier lines are never rewritten; a
+/// torn last line is terminated before the record goes after it. Returns
+/// false on IO failure or when the "svc.checkpoint" fault point fires; the
+/// service treats that as a warning, not a job failure. Not safe against
+/// concurrent appends to one file (the service serializes its own).
 bool append_checkpoint(const std::string& path, const JobRecord& rec);
 
 /// Loads a checkpoint manifest; a missing file is an empty checkpoint.

@@ -698,9 +698,18 @@ void FusionService::process_job_nd(const JobSpec& job, JobRecord& rec, PlannerWo
     finish(JobStatus::Quarantined, "no attempt reached a verdict");
 }
 
+JobRecord FusionService::run_job(const JobSpec& job, PlannerWorkspace& ws) {
+    JobRecord rec;
+    process_job(job, rec, ws);
+    return rec;
+}
+
 RunReport FusionService::run(const std::vector<JobSpec>& jobs) {
     const Clock::time_point t0 = Clock::now();
-    checkpoint_failures_ = 0;
+    {
+        const std::lock_guard<std::mutex> lock(checkpoint_mutex_);
+        checkpoint_failures_ = 0;
+    }
 
     {
         std::unordered_set<std::string> ids;
@@ -752,7 +761,7 @@ RunReport FusionService::run(const std::vector<JobSpec>& jobs) {
         // allocation-free (see graph/solver_workspace.hpp). Workers pull
         // plan_batch jobs at a time; eligible chunk-mates pre-plan as one
         // try_plan_fusion_batch call (skeleton-sharing lockstep solves)
-        // before each job runs through the unchanged admission machinery.
+        // before each job runs through run_job's per-job path.
         PlannerWorkspace ws;
         for (;;) {
             const std::size_t begin = next.fetch_add(chunk);
@@ -777,7 +786,10 @@ RunReport FusionService::run(const std::vector<JobSpec>& jobs) {
     }
 
     report.breakers = breakers_.snapshot();
-    report.checkpoint_failures = checkpoint_failures_;
+    {
+        const std::lock_guard<std::mutex> lock(checkpoint_mutex_);
+        report.checkpoint_failures = checkpoint_failures_;
+    }
     report.plancache = plan_cache_.stats();
     report.plancache_size = plan_cache_.size();
     report.exec_compile = native_compiler_.stats();

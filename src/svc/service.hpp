@@ -1,12 +1,15 @@
 #pragma once
-// The concurrent fusion service: a worker pool draining a queue of named
-// MLDG jobs through try_plan_fusion, hardened for batch operation.
+// The concurrent fusion service: named MLDG jobs planned through
+// try_plan_fusion, hardened for batch and always-on operation.
 //
 // The paper's point is that all three fusion algorithms are polynomial --
 // cheap enough to run as an always-on compilation service. This layer
 // supplies the service half of that claim:
 //
-//   * a fixed pool of worker threads consuming a job queue (job order in
+//   * one per-job entry point, run_job(), that carries a job through the
+//     breaker, plan cache, ladder and admission gate to its verdict; the
+//     network edge (net/server.hpp) calls it from its persistent workers,
+//     and run() calls it from a pool started per manifest (job order in
 //     the report is manifest order, independent of scheduling);
 //   * every planning attempt runs under a ResourceGuard step budget and a
 //     per-job wall-clock deadline;
@@ -26,11 +29,12 @@
 //   * every worker thread owns a PlannerWorkspace
 //     (graph/solver_workspace.hpp), so steady-state planning is
 //     allocation-free and consecutive ladder rungs warm-start each other;
-//   * the job manifest checkpoints to disk (svc/report.hpp) so a killed
-//     run resumes without redoing verified jobs.
+//   * every finished job appends one line to the checkpoint manifest
+//     (svc/report.hpp); run() restores from it, so a killed manifest run
+//     resumes without redoing verified jobs.
 //
-// run() never throws for job-level failures; one poisoned workload ends
-// one Quarantined record, never the batch.
+// Neither run() nor run_job() throws for job-level failures; one poisoned
+// workload ends one Quarantined record, never the batch or the server.
 
 #include <cstdint>
 #include <string>
@@ -66,8 +70,9 @@ struct ServiceConfig {
     int workers = 4;
     RetryPolicy retry;
     BreakerConfig breaker;
-    /// Checkpoint manifest path; empty disables checkpointing. An existing
-    /// checkpoint is loaded by run(): jobs it records as Verified are
+    /// Checkpoint manifest path; empty disables checkpointing. Every
+    /// finished job appends its verdict. An existing checkpoint is loaded
+    /// by run() (never by run_job()): jobs it records as Verified are
     /// restored (from_checkpoint = true) and not redone.
     std::string checkpoint_path;
     /// Plan-cache capacity in resident plans (svc/plancache.hpp); 0
@@ -104,11 +109,13 @@ struct ServiceConfig {
     int exec_tile = 0;
     /// Rounds narrower than this run whole on lane 0 (parallel run only).
     std::int64_t exec_serial_cutoff = 0;
-    /// Jobs a worker pulls from the queue at once. Chunks of eligible 2-D
-    /// jobs (first attempt, no deadline, closed breaker, not cached, no
-    /// fault armed) are pre-planned through try_plan_fusion_batch, so jobs
-    /// sharing a constraint skeleton solve in lockstep; per-job results are
-    /// bit-identical to sequential planning. 1 disables batching.
+    /// Jobs a run() worker pulls from the manifest at once. Chunks of
+    /// eligible 2-D jobs (first attempt, no deadline, closed breaker, not
+    /// cached, no fault armed) are pre-planned through
+    /// try_plan_fusion_batch, so jobs sharing a constraint skeleton solve in
+    /// lockstep; per-job results are bit-identical to sequential planning.
+    /// 1 disables batching. run_job() plans one job at a time and never
+    /// forms a chunk.
     int plan_batch = 8;
     /// Incremental re-planning: a cache miss whose graph differs from a
     /// cached entry on at most this many edges' dependence-vector sets
@@ -170,9 +177,20 @@ class FusionService {
     explicit FusionService(ServiceConfig config = {});
 
     /// Drives every job to a terminal state (Verified | Quarantined) and
-    /// returns the full report. Job ids must be unique (lf::Error otherwise
-    /// -- a manifest bug, not a job failure).
+    /// returns the full report: restores verified jobs from the checkpoint,
+    /// then runs the rest through run_job's path on `config.workers`
+    /// threads. Job ids must be unique (lf::Error otherwise -- a manifest
+    /// bug, not a job failure).
     [[nodiscard]] RunReport run(const std::vector<JobSpec>& jobs);
+
+    /// Drives one job to its terminal state and returns its record: breaker
+    /// admission, plan-cache lookup, retries with escalated budgets, the
+    /// admission gate, cache insert and checkpoint append -- everything
+    /// run() does per job except the chunk prepass and the checkpoint
+    /// restore. Thread-safe; each concurrent caller passes its own
+    /// workspace, which it may keep across calls. Ids need not be unique
+    /// across calls, but a checkpointed id is what a later run() restores.
+    [[nodiscard]] JobRecord run_job(const JobSpec& job, PlannerWorkspace& ws);
 
     /// Cumulative plan-cache counters (across every run() of this service;
     /// includes the persistent tier's disk_* counters). For the network

@@ -9,6 +9,8 @@
 //     quarantines), per-tenant quota sheds with retry-after hints,
 //     queue-depth sheds, typed errors for unparseable payloads and garbage
 //     bytes, idle and slow-read (slow-loris) connection timeouts;
+//   * the worker pool -- a slow job never delays a fast job behind it, and
+//     stop() accounts for every admitted job;
 //   * fault points -- net.accept / net.read / net.write / net.torn_response
 //     each produce their documented failure shape and a stats() count, and
 //     the client classifies the damage (Closed/Torn), never misparses it.
@@ -25,10 +27,14 @@
 #include <string>
 #include <thread>
 
+#include "graph/solver_workspace.hpp"
+#include "ldg/serialization.hpp"
 #include "net/client.hpp"
 #include "net/frame.hpp"
 #include "net/server.hpp"
 #include "support/faultpoint.hpp"
+#include "svc/manifest.hpp"
+#include "workloads/generators.hpp"
 #include "workloads/sources.hpp"
 
 namespace lf::net {
@@ -233,6 +239,37 @@ Frame dsl_request(std::uint64_t id, std::string_view source, std::int64_t deadli
     return f;
 }
 
+/// Text of a seeded random legal MLDG with `loops` loops at the wire_large
+/// edge densities. Planned cold, a few thousand loops keep a worker busy
+/// for milliseconds; a cached gallery job takes microseconds.
+std::string large_mldg_text(int loops, std::uint64_t seed) {
+    Rng rng(seed);
+    workloads::RandomGraphOptions opt;
+    opt.num_nodes = loops;
+    opt.forward_edge_prob = 6.0 / loops;
+    opt.backward_edge_prob = 2.0 / loops;
+    return serialize_mldg(workloads::random_legal_mldg(rng, opt), "large");
+}
+
+Frame mldg_request(std::uint64_t id, std::string text) {
+    Frame f;
+    f.type = FrameType::Request;
+    f.aux = static_cast<std::uint16_t>(PayloadKind::Mldg);
+    f.request_id = id;
+    f.payload = std::move(text);
+    return f;
+}
+
+/// Spins until `pred(stats)` holds or ~30 s pass; returns whether it held.
+template <typename Pred>
+bool wait_for_stats(const Server& server, Pred pred) {
+    for (int spin = 0; spin < 30000; ++spin) {
+        if (pred(server.stats())) return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+}
+
 int raw_connect(std::uint16_t port) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     sockaddr_in addr{};
@@ -260,7 +297,7 @@ TEST_F(NetTest, LoopbackRequestEndsVerifiedWithEchoedIds) {
     EXPECT_NE(r.frame.payload.find("\"status\": \"verified\""), std::string::npos)
         << r.frame.payload;
     EXPECT_NE(r.frame.payload.find("\"tenant\": \"acme\""), std::string::npos);
-    // The client can observe the response bytes before the batcher thread
+    // The client can observe the response bytes before the worker thread
     // bumps its counter; give the stats a moment to settle.
     for (int spin = 0; spin < 100 && ts.server.stats().responses_sent == 0; ++spin) {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -329,11 +366,15 @@ TEST_F(NetTest, TenantQuotaShedsWithRetryAfterHint) {
 TEST_F(NetTest, QueueDepthShedsWhenInflightCapReached) {
     ServerConfig config;
     config.max_inflight = 1;
-    config.batch_wait_ms = 400;  // hold the first job in the batcher window
+    // The reader's parse of job 1 counts as connection idle time, and takes
+    // seconds under sanitizers.
+    config.idle_timeout_ms = 60000;
     TestServer ts(config);
     BlockingClient client;
     ASSERT_TRUE(client.connect("127.0.0.1", ts.server.port()));
-    ASSERT_TRUE(client.send(dsl_request(1, workloads::sources::kFig2)));
+    // Job 1 is a large cold graph: a worker is still planning it when the
+    // reader handles job 2, which is already in the socket behind it.
+    ASSERT_TRUE(client.send(mldg_request(1, large_mldg_text(3000, 11))));
     // While job 1 is admitted-but-unanswered, job 2 must shed QueueFull.
     ASSERT_TRUE(client.send(dsl_request(2, workloads::sources::kFig8)));
     auto r = client.recv(30000);
@@ -348,6 +389,97 @@ TEST_F(NetTest, QueueDepthShedsWhenInflightCapReached) {
     EXPECT_EQ(r.frame.type, FrameType::Response);
     EXPECT_EQ(r.frame.request_id, 1u);
     EXPECT_EQ(ts.server.stats().shed_queue, 1u);
+}
+
+TEST_F(NetTest, SlowJobDoesNotDelayAFastJobBehindIt) {
+    using Clock = std::chrono::steady_clock;
+    ServerConfig config;
+    config.service.workers = 2;
+    // B idles while A's large payload parses, which takes seconds under
+    // sanitizers.
+    config.idle_timeout_ms = 60000;
+    TestServer ts(config);
+    BlockingClient fast;
+    ASSERT_TRUE(fast.connect("127.0.0.1", ts.server.port()));
+    // Warm the plan cache, so the fast job is a hit.
+    ASSERT_TRUE(fast.send(dsl_request(1, workloads::sources::kFig2)));
+    auto warm = fast.recv(30000);
+    ASSERT_EQ(warm.status, BlockingClient::RecvStatus::Ok);
+    ASSERT_EQ(warm.frame.aux, 1u);
+
+    // Connection A sends the slow job; its reply is timed on its own thread.
+    BlockingClient slow;
+    ASSERT_TRUE(slow.connect("127.0.0.1", ts.server.port()));
+    ASSERT_TRUE(slow.send(mldg_request(2, large_mldg_text(3000, 5))));
+    Clock::time_point slow_reply{};
+    BlockingClient::Recv slow_r;
+    std::thread slow_reader([&] {
+        slow_r = slow.recv(60000);
+        slow_reply = Clock::now();
+    });
+    // The slow job's parse runs on A's reader; once it is admitted, only
+    // its planning stands between it and its reply.
+    const bool admitted = wait_for_stats(ts.server, [](const ServerStats& s) {
+        return s.jobs_admitted == 2;
+    });
+    const Clock::time_point slow_admitted = Clock::now();
+
+    // Connection B sends the cached job behind it.
+    const Clock::time_point fast_sent = Clock::now();
+    const bool fast_sent_ok = fast.send(dsl_request(3, workloads::sources::kFig2));
+    const auto fast_r = fast_sent_ok ? fast.recv(30000) : BlockingClient::Recv{};
+    const Clock::time_point fast_reply = Clock::now();
+    slow_reader.join();
+    ASSERT_TRUE(admitted);
+    ASSERT_TRUE(fast_sent_ok);
+    ASSERT_EQ(fast_r.status, BlockingClient::RecvStatus::Ok);
+    EXPECT_EQ(fast_r.frame.request_id, 3u);
+    EXPECT_EQ(fast_r.frame.aux, 1u);
+    EXPECT_NE(fast_r.frame.payload.find("\"cache\": \"hit\""), std::string::npos);
+    ASSERT_EQ(slow_r.status, BlockingClient::RecvStatus::Ok);
+    EXPECT_EQ(slow_r.frame.request_id, 2u);
+    EXPECT_EQ(slow_r.frame.aux, 1u);
+    EXPECT_NE(slow_r.frame.payload.find("\"cache\": \"miss\""), std::string::npos);
+
+    // The fast reply comes first, and within a quarter of the slow job's
+    // service time -- it never waited for the slow verdict.
+    const auto us = [](Clock::duration d) {
+        return std::chrono::duration_cast<std::chrono::microseconds>(d).count();
+    };
+    const std::int64_t slow_service_us = us(slow_reply - slow_admitted);
+    const std::int64_t fast_latency_us = us(fast_reply - fast_sent);
+    EXPECT_LT(fast_reply, slow_reply);
+    EXPECT_LT(fast_latency_us * 4, slow_service_us)
+        << "fast " << fast_latency_us << " us, slow service " << slow_service_us << " us";
+}
+
+TEST_F(NetTest, StopAccountsForEveryAdmittedJob) {
+    ServerConfig config;
+    config.service.workers = 1;  // jobs queue up behind the one worker
+    TestServer ts(config);
+    constexpr std::size_t kConnections = 4;
+    std::vector<BlockingClient> clients(kConnections);
+    std::vector<std::string> payloads;
+    for (std::size_t c = 0; c < kConnections; ++c) {
+        ASSERT_TRUE(clients[c].connect("127.0.0.1", ts.server.port()));
+        payloads.push_back(large_mldg_text(1024, 100 + c));
+    }
+    // Sent back to back, so the parses overlap on the readers and the
+    // jobs pile up behind the single worker.
+    for (std::size_t c = 0; c < kConnections; ++c) {
+        ASSERT_TRUE(clients[c].send(mldg_request(c + 1, payloads[c])));
+    }
+    ASSERT_TRUE(wait_for_stats(ts.server, [](const ServerStats& s) {
+        return s.jobs_admitted == kConnections;
+    }));
+    // Stop with the last admitted job(s) still queued or planning: the
+    // connections close first, then the worker drains the queue.
+    ts.server.stop();
+    const ServerStats s = ts.server.stats();
+    EXPECT_EQ(s.jobs_admitted, kConnections);
+    EXPECT_EQ(s.jobs_verified + s.jobs_quarantined, s.jobs_admitted);
+    EXPECT_EQ(s.jobs_quarantined, 0u);
+    EXPECT_LE(s.responses_sent, s.jobs_admitted);
 }
 
 TEST_F(NetTest, UnparseablePayloadEarnsTypedErrorNotACrash) {

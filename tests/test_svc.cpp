@@ -10,8 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -453,9 +451,10 @@ TEST_F(SvcTest, CheckpointMalformedLineCountSurfacesInTheReport) {
     const std::string json = report_to_json(report, false);
     EXPECT_NE(json.find("\"checkpoint_malformed\": 4"), std::string::npos);
 
-    // The run appended one well-formed record per job (atomically, so no
-    // new damage), and the pre-existing damaged lines are preserved as
-    // evidence -- still skipped, still counted, never silently dropped.
+    // The run appended one well-formed record per job (terminating the
+    // torn tail first, so no new damage), and the pre-existing damaged
+    // lines are preserved as evidence -- still skipped, still counted,
+    // never silently dropped.
     int after = -1;
     const auto resumed = load_checkpoint(path, &after);
     EXPECT_EQ(resumed.size(), report.jobs.size());
@@ -484,8 +483,58 @@ TEST_F(SvcTest, CheckpointAppendTerminatesATornTailAtomically) {
     EXPECT_EQ(entries[0].id, "fig8");
     EXPECT_EQ(entries[1].id, "jacobi");
     EXPECT_EQ(malformed, 1) << "the torn tail is counted, not silently eaten";
-    // No temp droppings from the atomic rewrite.
-    EXPECT_FALSE(std::filesystem::exists(path + ".tmp." + std::to_string(::getpid())));
+    std::remove(path.c_str());
+}
+
+std::string read_bytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST_F(SvcTest, CheckpointAppendsNeverRewriteEarlierBytes) {
+    const std::string path = temp_path("svc_append_only.ckpt");
+    std::remove(path.c_str());
+    JobRecord rec;
+    rec.status = JobStatus::Verified;
+    rec.algorithm = "Algorithm 3 (acyclic)";
+    std::string before;
+    for (int i = 0; i < 20; ++i) {
+        rec.id = "job-" + std::to_string(i);
+        ASSERT_TRUE(append_checkpoint(path, rec));
+        const std::string after = read_bytes(path);
+        ASSERT_GT(after.size(), before.size());
+        EXPECT_EQ(after.compare(0, before.size(), before), 0)
+            << "append " << i << " changed bytes an earlier append wrote";
+        EXPECT_EQ(after.substr(before.size()),
+                  (i == 0 ? std::string("lfsvc-checkpoint v1\n") : std::string()) + rec.id +
+                      "\tverified\t0\tAlgorithm 3 (acyclic)\n");
+        before = after;
+    }
+
+    // A kill -9 mid-append tears the last line. Restoring skips and counts
+    // the unterminated line even where its fields happen to parse.
+    for (const std::size_t cut : {std::size_t{9}, std::size_t{30}}) {
+        std::filesystem::resize_file(path, before.size() - cut);
+        int malformed = -1;
+        const auto entries = load_checkpoint(path, &malformed);
+        ASSERT_EQ(entries.size(), 19u) << "cut " << cut;
+        EXPECT_EQ(entries.back().id, "job-18");
+        EXPECT_EQ(malformed, 1);
+    }
+
+    // The next append keeps the torn bytes, terminates them, and writes its
+    // record after them.
+    const std::string torn = before.substr(0, before.size() - 30);  // "job-19\tver"
+    rec.id = "job-after-tear";
+    ASSERT_TRUE(append_checkpoint(path, rec));
+    EXPECT_EQ(read_bytes(path),
+              torn + "\n" + rec.id + "\tverified\t0\tAlgorithm 3 (acyclic)\n");
+    int malformed = -1;
+    const auto entries = load_checkpoint(path, &malformed);
+    ASSERT_EQ(entries.size(), 20u);
+    EXPECT_EQ(entries[18].id, "job-18");
+    EXPECT_EQ(entries.back().id, "job-after-tear");
+    EXPECT_EQ(malformed, 1);
     std::remove(path.c_str());
 }
 
