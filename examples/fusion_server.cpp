@@ -46,8 +46,6 @@ void usage() {
         "  --store DIR        persistent plan-tier directory (default: off)\n"
         "  --checkpoint FILE  service checkpoint manifest (default: off)\n"
         "  --cache N          plan-cache capacity (default 128)\n"
-        "  --delta K          delta re-plan against cached graphs differing on <= K\n"
-        "                     edges; 0 disables (default 4)\n"
         "  --plan-policy P    planning objective: fastest (default) or smallest\n"
         "  --deadline-ms D    service-wide per-job deadline (default unlimited)\n"
         "  --max-conns N      connection cap (default 64)\n"
@@ -194,8 +192,6 @@ int main(int argc, char** argv) {
             config.service.checkpoint_path = next_arg(i);
         } else if (std::strcmp(a, "--cache") == 0) {
             config.service.plan_cache_capacity = static_cast<std::size_t>(std::stoul(next_arg(i)));
-        } else if (std::strcmp(a, "--delta") == 0) {
-            config.service.delta_max_edges = std::stoi(next_arg(i));
         } else if (std::strcmp(a, "--plan-policy") == 0) {
             const std::string name = next_arg(i);
             const std::optional<lf::PlanPolicy> parsed = lf::parse_plan_policy(name);

@@ -1,9 +1,7 @@
 #include "fusion/driver.hpp"
 
-#include <span>
 #include <sstream>
 
-#include "fusion/ladder.hpp"
 #include "ldg/legality.hpp"
 #include "support/diagnostics.hpp"
 
@@ -41,18 +39,6 @@ std::optional<PlanPolicy> parse_plan_policy(const std::string& text) {
     if (text == "fastest" || text == "fastest-schedule") return PlanPolicy::FastestSchedule;
     if (text == "smallest" || text == "smallest-code") return PlanPolicy::SmallestCode;
     return std::nullopt;
-}
-
-Result<FusionPlan> try_plan_fusion(const Mldg& g, const TryPlanOptions& options) {
-    // The degradation ladder lives in fusion/ladder.cpp as a batched planner
-    // over the shared constraint-system core; the sequential API is a batch
-    // of one, so both paths are the same code (and bit-identical).
-    BatchPlanJob job;
-    job.graph = &g;
-    job.hints = options.warm_hints;
-    try_plan_fusion_batch(std::span<BatchPlanJob>(&job, 1), options);
-    if (options.artifacts != nullptr) *options.artifacts = std::move(job.artifacts);
-    return std::move(*job.result);
 }
 
 FusionPlan plan_fusion(const Mldg& g, const PlanOptions& options) {

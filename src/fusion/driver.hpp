@@ -23,6 +23,27 @@
 //                       the original loops run in program order, each with
 //                       its own DOALL innermost loop. The returned plan (or
 //                       error Status) carries the per-rung trace.
+//
+// Every rung solves a difference-constraint system over the SAME graph: one
+// variable per loop, one constraint per dependence edge, only the per-edge
+// bound differing by rung (PAPER.md Section 2.4 -- the five algorithms are
+// one 2-ILP skeleton under different bounds):
+//
+//   rung 1 (Alg. 3, acyclic)   r(to) - r(from) <= delta - (1,-1)     [Vec2]
+//   rung 2 (Alg. 4, phase 1)   x(to) - x(from) <= delta.x - hard     [int64]
+//   rung 2 (Alg. 4, phase 2)   y(to) - y(from)  = delta.y  (subset)  [int64]
+//   rung 3 (forced carry)      x(to) - x(from) <= delta.x - 1        [int64]
+//   rung 4 (Alg. 5, LLOFRA)    r(to) - r(from) <= delta              [Vec2]
+//
+// The ladder (fusion/ladder.cpp) therefore stages the edge endpoints ONCE
+// per job and expresses each rung as a bound rewrite over them: no per-rung
+// system reconstruction, no repeated schedulability checks (validation's
+// verdict is cached and implies every rung's internal check -- counted in
+// SolverStats::rungs_shared), and the one retiming application Algorithm 5
+// performs is reused by plan finalization. The forced-carry rung
+// warm-starts from phase 1's fixpoint (its system only tightens phase 1's),
+// and every rung's solve takes the all-sources kernel's predecessor-cycle
+// early exit, so infeasible rungs stop after a few passes instead of |V|.
 
 #include <optional>
 #include <string>
@@ -35,8 +56,6 @@
 namespace lf {
 
 struct PlannerWorkspace;
-struct LadderWarmHints;
-struct LadderArtifacts;
 
 enum class ParallelismLevel {
     /// The fused innermost loop is DOALL: one barrier per outer iteration.
@@ -142,18 +161,10 @@ struct TryPlanOptions {
     bool distribution_only = false;
     /// Reusable solver scratch (graph/solver_workspace.hpp), typically one
     /// per worker thread. When set, every rung's solves run allocation-free
-    /// in the steady state and consecutive rungs warm-start each other where
-    /// the constraint systems nest (see DESIGN.md, "Planning performance").
-    /// Never changes any planning result. Not owned; may be null.
+    /// in the steady state (see DESIGN.md, "Planning performance"); when
+    /// null, each call uses a fresh one. Never changes any planning result.
+    /// Not owned; may be null.
     PlannerWorkspace* workspace = nullptr;
-    /// Starting potentials for delta re-planning, derived from a structural
-    /// near-neighbor's cached fixpoints (fusion/ladder.hpp). Warm-start
-    /// legality guarantees the plan is unchanged; only relaxation work
-    /// shrinks. Not owned; may be null.
-    const LadderWarmHints* warm_hints = nullptr;
-    /// Optional output: the feasible fixpoints the ladder computed (for the
-    /// plan cache's distance-vector sidecar). Not owned; may be null.
-    LadderArtifacts* artifacts = nullptr;
 };
 
 /// Never-throwing planner with graceful degradation. Tries, in order:

@@ -1,10 +1,14 @@
-#include "fusion/ladder.hpp"
+// The planning ladder behind try_plan_fusion (fusion/driver.hpp): one job,
+// one constraint skeleton, every rung a bound rewrite over it.
 
-#include <algorithm>
-#include <map>
+#include <optional>
+#include <span>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "fusion/compact.hpp"
+#include "fusion/driver.hpp"
 #include "fusion/hyperplane.hpp"
 #include "graph/bellman_ford.hpp"
 #include "graph/solver_workspace.hpp"
@@ -66,29 +70,13 @@ std::string finalize_plan(const Mldg& g, FusionPlan& plan, Mldg* prebuilt_retime
     return {};
 }
 
-/// Ladder state of one job: its stage trace, budget guard, per-rung solver
-/// telemetry, and the scratch buffers holding this lane's view (bounds,
-/// hard flags, warm starts) of the group's shared constraint skeleton.
-struct Lane {
-    BatchPlanJob* job = nullptr;
-    const Mldg* g = nullptr;
+/// A job's walk down the ladder: its stage trace, budget guard and the
+/// solver telemetry of the rung in progress.
+struct Trace {
     ResourceGuard guard;
     std::uint64_t metered = 0;
     SolverStats rung_stats;
     std::vector<StageReport> stages;
-    bool model_legal = false;
-    std::optional<int> a4_failed_phase;
-    std::vector<std::int64_t> phase1_values;
-    /// Per-edge hard flags (is_hard is a property of the lane's vectors, not
-    /// of the shared skeleton).
-    std::vector<unsigned char> hard;
-    // Per-rung bound buffers over the shared edge order.
-    std::vector<std::int64_t> sbounds;   // scalar rungs (Alg. 4 ph. 1, forced)
-    std::vector<Vec2> vbounds;           // Vec2 rungs (Alg. 3, LLOFRA)
-    std::vector<std::int64_t> sbounds2;  // phase-2 doubled equality bounds
-    std::vector<unsigned char> enabled2; // phase-2 participation mask
-
-    [[nodiscard]] bool done() const { return job->result.has_value(); }
 
     void push_stage(std::string stage, StatusCode code, std::string detail) {
         StageReport r;
@@ -102,115 +90,73 @@ struct Lane {
         stages.push_back(std::move(r));
     }
 
-    void fail(Status st) {
+    [[nodiscard]] Status fail(Status st) {
         st.stages = std::move(stages);
-        job->result.emplace(std::move(st));
+        return st;
     }
 };
 
-/// Runs one batched all-sources solve for the given participants; each entry
-/// of `parts` indexes into `lanes` and must have its bounds (and optional
-/// warm/enabled views) staged in `blanes` already.
-template <typename W>
-void solve_rung(std::vector<Lane>& lanes, const std::vector<std::size_t>& parts,
-                std::vector<BatchLane<W>>& blanes, int num_nodes,
-                std::span<const int> efrom, std::span<const int> eto,
-                SolverWorkspace<W>* ws) {
-    (void)lanes;
-    (void)parts;
-    if (blanes.empty()) return;
-    bellman_ford_all_sources_batch<W>(num_nodes, efrom, eto,
-                                      std::span<BatchLane<W>>(blanes), {}, ws,
-                                      /*early_cycle_exit=*/true);
+/// One rung's all-sources solve over a staged edge list, metered against
+/// the job's budget, with the predecessor-cycle early exit on.
+template <typename W, typename EdgeBuf>
+ShortestPaths<W> solve_rung(int n, const EdgeBuf& edges, Trace& t, SolverWorkspace<W>& ws,
+                            const std::vector<W>* warm_start = nullptr) {
+    return bellman_ford_all_sources<W>(n, std::span<const WeightedEdge<W>>(edges), &t.guard,
+                                       &t.rung_stats, {}, &ws, warm_start,
+                                       /*early_cycle_exit=*/true);
 }
 
-/// Plans one skeleton group in lockstep. All jobs in `idxs` share node count
-/// and edge endpoints; per-lane dependence vectors (bounds, hard flags) may
-/// differ freely.
-void plan_group(std::span<BatchPlanJob> jobs, const std::vector<std::size_t>& idxs,
-                const TryPlanOptions& options) {
-    const Mldg& g0 = *jobs[idxs.front()].graph;
-    const int n = g0.num_nodes();
-    const std::size_t ne = g0.edges().size();
-    PlannerWorkspace* ws = options.workspace;
+}  // namespace
 
-    // Shared skeleton: endpoint arrays in graph edge order, plus the doubled
-    // (forward, backward) pairs phase 2's equalities expand into.
-    std::vector<int> efrom(ne);
-    std::vector<int> eto(ne);
-    for (std::size_t e = 0; e < ne; ++e) {
-        efrom[e] = g0.edges()[e].from;
-        eto[e] = g0.edges()[e].to;
-    }
-    std::vector<int> efrom2(2 * ne);
-    std::vector<int> eto2(2 * ne);
-    for (std::size_t e = 0; e < ne; ++e) {
-        efrom2[2 * e] = efrom[e];
-        eto2[2 * e] = eto[e];
-        efrom2[2 * e + 1] = eto[e];
-        eto2[2 * e + 1] = efrom[e];
-    }
-    const bool acyclic = g0.is_acyclic();
-
-    std::vector<Lane> lanes(idxs.size());
-    for (std::size_t k = 0; k < idxs.size(); ++k) {
-        Lane& L = lanes[k];
-        L.job = &jobs[idxs[k]];
-        L.g = L.job->graph;
-        L.guard = ResourceGuard(options.limits);
-        L.hard.resize(ne);
-        for (std::size_t e = 0; e < ne; ++e) {
-            L.hard[e] = L.g->edges()[e].is_hard() ? 1 : 0;
-        }
-    }
+Result<FusionPlan> try_plan_fusion(const Mldg& g, const TryPlanOptions& options) {
+    PlannerWorkspace local_ws;  // used only when the caller owns no arena
+    PlannerWorkspace& ws = options.workspace != nullptr ? *options.workspace : local_ws;
+    const int n = g.num_nodes();
+    const std::size_t ne = g.edges().size();
+    Trace t;
+    t.guard = ResourceGuard(options.limits);
+    std::optional<int> a4_failed_phase;
 
     // ---- Validation ----
     // Program-model legality is solver-free and implies schedulability
     // (L2+L3: every cycle has x-weight >= 1); only graphs outside the
     // program model need the solver-backed schedulability check. The verdict
-    // is CACHED on the lane: rungs 1-4 reuse it instead of re-running their
-    // own check_schedulable / is_schedulable preambles (counted in
+    // is CACHED: rungs 1-4 reuse it instead of re-running their own
+    // check_schedulable / is_schedulable preambles (counted in
     // SolverStats::rungs_shared).
-    for (Lane& L : lanes) {
-        L.model_legal = is_legal_mldg(*L.g);
-        if (!L.model_legal) {
-            const LegalityReport rep = check_schedulable(
-                *L.g, &L.guard, &L.rung_stats, ws != nullptr ? &ws->scalar : nullptr);
-            if (rep.status != StatusCode::Ok) {
-                L.push_stage("validate", rep.status, "schedulability check aborted");
-                L.fail(Status(rep.status,
-                              "try_plan_fusion: could not validate the input MLDG"));
-                continue;
-            }
-            if (!rep.legal) {
-                const std::string why =
-                    rep.violations.empty() ? std::string("?") : rep.violations.front();
-                L.push_stage("validate", StatusCode::IllegalInput, why);
-                L.fail(Status(StatusCode::IllegalInput,
-                              "try_plan_fusion: input MLDG is not schedulable: " + why));
-                continue;
-            }
+    const bool model_legal = is_legal_mldg(g);
+    if (!model_legal) {
+        const LegalityReport rep = check_schedulable(g, &t.guard, &t.rung_stats, &ws.scalar);
+        if (rep.status != StatusCode::Ok) {
+            t.push_stage("validate", rep.status, "schedulability check aborted");
+            return t.fail(
+                Status(rep.status, "try_plan_fusion: could not validate the input MLDG"));
         }
-        L.push_stage("validate", StatusCode::Ok,
-                     L.model_legal ? "program-model legal"
-                                   : "schedulable (outside the program model)");
+        if (!rep.legal) {
+            const std::string why =
+                rep.violations.empty() ? std::string("?") : rep.violations.front();
+            t.push_stage("validate", StatusCode::IllegalInput, why);
+            return t.fail(Status(StatusCode::IllegalInput,
+                                 "try_plan_fusion: input MLDG is not schedulable: " + why));
+        }
     }
+    t.push_stage("validate", StatusCode::Ok,
+                 model_legal ? "program-model legal" : "schedulable (outside the program model)");
 
     // Compact refinement (PlanOptions::compact_prologue) as a post-pass: the
     // plain rung's solution is kept unless the compacted one re-verifies.
-    auto apply_compact = [&](Lane& L, FusionPlan& plan) {
+    auto apply_compact = [&](FusionPlan& plan) {
         if (!options.plan.compact_prologue) return;
         try {
-            std::vector<std::int64_t> local_warm;
-            std::vector<std::int64_t>& warm_x = ws != nullptr ? ws->warm_x : local_warm;
+            std::vector<std::int64_t>& warm_x = ws.warm_x;
             warm_x.clear();
             warm_x.reserve(static_cast<std::size_t>(n));
             for (int v = 0; v < n; ++v) warm_x.push_back(plan.retiming.of(v).x);
             std::optional<Retiming> alt;
             if (plan.algorithm == AlgorithmUsed::AcyclicDoall) {
-                alt = acyclic_doall_fusion_compact(*L.g, &L.rung_stats, ws, &warm_x);
+                alt = acyclic_doall_fusion_compact(g, &t.rung_stats, &ws, &warm_x);
             } else if (plan.algorithm == AlgorithmUsed::CyclicDoall) {
-                alt = cyclic_doall_fusion_compact(*L.g, &L.rung_stats, ws, &warm_x);
+                alt = cyclic_doall_fusion_compact(g, &t.rung_stats, &ws, &warm_x);
             }
             if (!alt.has_value()) return;
             FusionPlan refined;
@@ -219,9 +165,9 @@ void plan_group(std::span<BatchPlanJob> jobs, const std::vector<std::size_t>& id
             refined.algorithm = plan.algorithm;
             refined.schedule = plan.schedule;
             refined.hyperplane = plan.hyperplane;
-            if (finalize_plan(*L.g, refined).empty()) {
+            if (finalize_plan(g, refined).empty()) {
                 plan = std::move(refined);
-                L.push_stage("compact", StatusCode::Ok, "x-spread minimized");
+                t.push_stage("compact", StatusCode::Ok, "x-spread minimized");
             }
         } catch (const std::exception&) {
             // Keep the plain rung's verified solution.
@@ -235,15 +181,14 @@ void plan_group(std::span<BatchPlanJob> jobs, const std::vector<std::size_t>& id
     // finalize_plan gate as any plan, falling back to the rung's own
     // solution on any rejection. Never runs under the default policy, so
     // default-policy plans and stage traces stay bit-identical.
-    auto apply_policy = [&](Lane& L, FusionPlan& plan) {
+    auto apply_policy = [&](FusionPlan& plan) {
         if (options.plan.policy != PlanPolicy::SmallestCode) return;
         try {
-            const MagnitudeOutcome m =
-                minimize_plan_magnitude(*L.g, plan, &L.rung_stats, ws);
+            const MagnitudeOutcome m = minimize_plan_magnitude(g, plan, &t.rung_stats, &ws);
             if (!m.changed()) {
-                L.push_stage("minimize", StatusCode::Ok,
-                             "retiming magnitude already minimal (" +
-                                 std::to_string(m.before) + ")");
+                t.push_stage("minimize", StatusCode::Ok,
+                             "retiming magnitude already minimal (" + std::to_string(m.before) +
+                                 ")");
                 return;
             }
             FusionPlan refined;
@@ -255,17 +200,17 @@ void plan_group(std::span<BatchPlanJob> jobs, const std::vector<std::size_t>& id
             if (plan.algorithm == AlgorithmUsed::Hyperplane) {
                 // A trailing-spread reduction changes the retimed graph;
                 // re-derive the wavefront schedule for it as rung 4 does.
-                const Mldg retimed = refined.retiming.apply(*L.g);
+                const Mldg retimed = refined.retiming.apply(g);
                 refined.schedule = schedule_vector_for(retimed);
                 refined.hyperplane = Vec2{refined.schedule.y, -refined.schedule.x};
             }
-            if (finalize_plan(*L.g, refined).empty()) {
+            if (finalize_plan(g, refined).empty()) {
                 plan = std::move(refined);
-                L.push_stage("minimize", StatusCode::Ok,
+                t.push_stage("minimize", StatusCode::Ok,
                              "retiming magnitude " + std::to_string(m.before) + " -> " +
                                  std::to_string(m.after));
             } else {
-                L.push_stage("minimize", StatusCode::Internal,
+                t.push_stage("minimize", StatusCode::Internal,
                              "candidate failed re-verification; keeping the rung's plan");
             }
         } catch (const std::exception&) {
@@ -276,8 +221,8 @@ void plan_group(std::span<BatchPlanJob> jobs, const std::vector<std::size_t>& id
     // Per-plan code-shape metrics on the stage that accepted the plan, via
     // the same fringe model the emitters use (support/cemit.hpp). The
     // widths are domain-independent, so extent 0 serves.
-    auto fill_metrics = [&](Lane& L, const FusionPlan& plan) {
-        if (L.stages.empty()) return;
+    auto fill_metrics = [&](const FusionPlan& plan) {
+        if (t.stages.empty()) return;
         std::vector<std::int64_t> sx(static_cast<std::size_t>(n));
         std::vector<std::int64_t> sy(static_cast<std::size_t>(n));
         for (int v = 0; v < n; ++v) {
@@ -286,440 +231,272 @@ void plan_group(std::span<BatchPlanJob> jobs, const std::vector<std::size_t>& id
         }
         const cemit::FringeBounds bi = cemit::fringe_bounds(sx, 0);
         const cemit::FringeBounds bj = cemit::fringe_bounds(sy, 0);
-        StageReport& s = L.stages.back();
+        StageReport& s = t.stages.back();
         s.prologue_iters = bi.prologue() + bj.prologue();
         s.epilogue_iters = bi.epilogue() + bj.epilogue();
         s.retiming_magnitude = retiming_magnitude(plan.retiming);
     };
 
-    auto accept = [&](Lane& L, FusionPlan&& plan) {
-        apply_compact(L, plan);
-        apply_policy(L, plan);
-        fill_metrics(L, plan);
-        plan.cyclic_doall_failed_phase = L.a4_failed_phase;
-        plan.stages = std::move(L.stages);
-        L.job->result.emplace(std::move(plan));
+    auto accept = [&](FusionPlan&& plan) -> Result<FusionPlan> {
+        apply_compact(plan);
+        apply_policy(plan);
+        fill_metrics(plan);
+        plan.cyclic_doall_failed_phase = a4_failed_phase;
+        plan.stages = std::move(t.stages);
+        return std::move(plan);
     };
 
-    const bool run_rungs = !options.distribution_only;
+    if (!options.distribution_only) {
+        // The constraint skeleton, built once: one edge per dependence edge
+        // in graph order, per weight domain. Each rung below only rewrites
+        // the bounds.
+        auto& sedges = ws.scalar.edges;  // Alg. 4 phase 1, forced carry
+        auto& vedges = ws.vec2.edges;    // Alg. 3, LLOFRA
+        sedges.resize(ne);
+        vedges.resize(ne);
+        for (std::size_t e = 0; e < ne; ++e) {
+            const auto& de = g.edges()[e];
+            sedges[e].from = vedges[e].from = de.from;
+            sedges[e].to = vedges[e].to = de.to;
+        }
 
-    // ---- Rung 1: Algorithm 3 (acyclic skeletons only -- acyclicity is a
-    // property of the shared endpoints, so the whole group agrees). ----
-    if (run_rungs && acyclic) {
-        std::vector<std::size_t> parts;
-        std::vector<BatchLane<Vec2>> blanes;
-        for (std::size_t k = 0; k < lanes.size(); ++k) {
-            Lane& L = lanes[k];
-            if (L.done()) continue;
+        // ---- Rung 1: Algorithm 3 (acyclic graphs only). ----
+        if (g.is_acyclic()) {
             if (faultpoint::triggered("acyclic_doall")) {
-                L.push_stage("acyclic-doall", StatusCode::Internal,
+                t.push_stage("acyclic-doall", StatusCode::Internal,
                              "acyclic_doall_fusion: fault injected");
-                continue;
-            }
-            ++L.rung_stats.rungs_shared;  // schedulability verdict reused
-            L.vbounds.resize(ne);
-            for (std::size_t e = 0; e < ne; ++e) {
-                L.vbounds[e] = L.g->edges()[e].delta() - Vec2{1, -1};
-            }
-            BatchLane<Vec2> bl;
-            bl.bounds = L.vbounds.data();
-            bl.guard = &L.guard;
-            bl.stats = &L.rung_stats;
-            if (L.job->hints != nullptr && !L.job->hints->acyclic.empty()) {
-                bl.warm_start = &L.job->hints->acyclic;
-                bl.warm_is_delta = true;
-            }
-            parts.push_back(k);
-            blanes.push_back(bl);
-        }
-        solve_rung<Vec2>(lanes, parts, blanes, n, efrom, eto,
-                         ws != nullptr ? &ws->vec2 : nullptr);
-        for (std::size_t p = 0; p < parts.size(); ++p) {
-            Lane& L = lanes[parts[p]];
-            BatchLane<Vec2>& bl = blanes[p];
-            if (bl.status != StatusCode::Ok) {
-                L.push_stage("acyclic-doall", bl.status, "acyclic_doall_fusion: solve aborted");
-                continue;
-            }
-            if (bl.has_negative_cycle) {
-                // The constraint graph is acyclic; a negative cycle is impossible.
-                L.push_stage("acyclic-doall", StatusCode::Internal,
-                             "acyclic_doall_fusion: internal error (acyclic system infeasible)");
-                continue;
-            }
-            L.job->artifacts.acyclic = bl.dist;
-            Retiming r(std::move(bl.dist));
-            for (int v = 0; v < n; ++v) r.of(v).y = 0;  // paper Alg. 3, final loop
-            FusionPlan plan;
-            plan.retiming = std::move(r);
-            plan.algorithm = AlgorithmUsed::AcyclicDoall;
-            plan.level = ParallelismLevel::InnerDoall;
-            const std::string err = finalize_plan(*L.g, plan);
-            if (err.empty()) {
-                L.push_stage("acyclic-doall", StatusCode::Ok, {});
-                accept(L, std::move(plan));
             } else {
-                L.push_stage("acyclic-doall", StatusCode::Internal, err);
+                ++t.rung_stats.rungs_shared;  // schedulability verdict reused
+                for (std::size_t e = 0; e < ne; ++e) {
+                    vedges[e].weight = g.edges()[e].delta() - Vec2{1, -1};
+                }
+                ShortestPaths<Vec2> sp = solve_rung<Vec2>(n, vedges, t, ws.vec2);
+                if (sp.status != StatusCode::Ok) {
+                    t.push_stage("acyclic-doall", sp.status, "acyclic_doall_fusion: solve aborted");
+                } else if (sp.has_negative_cycle) {
+                    // The constraint graph is acyclic; a negative cycle is impossible.
+                    t.push_stage(
+                        "acyclic-doall", StatusCode::Internal,
+                        "acyclic_doall_fusion: internal error (acyclic system infeasible)");
+                } else {
+                    Retiming r(std::move(sp.dist));
+                    for (int v = 0; v < n; ++v) r.of(v).y = 0;  // paper Alg. 3, final loop
+                    FusionPlan plan;
+                    plan.retiming = std::move(r);
+                    plan.algorithm = AlgorithmUsed::AcyclicDoall;
+                    plan.level = ParallelismLevel::InnerDoall;
+                    const std::string err = finalize_plan(g, plan);
+                    if (err.empty()) {
+                        t.push_stage("acyclic-doall", StatusCode::Ok, {});
+                        return accept(std::move(plan));
+                    }
+                    t.push_stage("acyclic-doall", StatusCode::Internal, err);
+                }
             }
         }
-    }
 
-    // ---- Rung 2: Algorithm 4 (also handles acyclic graphs when rung 1
-    // fell through). ----
-    if (run_rungs) {
+        // ---- Rung 2: Algorithm 4 (also handles acyclic graphs when rung 1
+        // fell through). ----
         // Phase 1: first retiming component. Hard edges must end
         // outer-loop-carried (retimed x >= 1); all others may stay within one
-        // outer iteration (retimed x >= 0).
-        std::vector<std::size_t> parts;
-        std::vector<BatchLane<std::int64_t>> blanes;
-        for (std::size_t k = 0; k < lanes.size(); ++k) {
-            Lane& L = lanes[k];
-            if (L.done()) continue;
-            // Every surviving lane is schedulable (validated above), so the
-            // historical is_schedulable precondition holds by construction.
-            ++L.rung_stats.rungs_shared;
-            if (faultpoint::triggered("cyclic_doall.phase1")) {
-                L.a4_failed_phase = 1;  // simulated phase-1 infeasibility
-                L.push_stage("cyclic-doall", StatusCode::Infeasible, "phase 1 infeasible");
-                continue;
-            }
-            L.sbounds.resize(ne);
+        // outer iteration (retimed x >= 0). The job is schedulable
+        // (validated above), so the historical is_schedulable precondition
+        // holds by construction.
+        ++t.rung_stats.rungs_shared;
+        std::vector<std::int64_t> phase1_values;
+        bool phase1_ok = false;
+        if (faultpoint::triggered("cyclic_doall.phase1")) {
+            a4_failed_phase = 1;  // simulated phase-1 infeasibility
+            t.push_stage("cyclic-doall", StatusCode::Infeasible, "phase 1 infeasible");
+        } else {
             for (std::size_t e = 0; e < ne; ++e) {
-                L.sbounds[e] = L.g->edges()[e].delta().x - (L.hard[e] != 0 ? 1 : 0);
+                sedges[e].weight = g.edges()[e].delta().x - (g.edges()[e].is_hard() ? 1 : 0);
             }
-            BatchLane<std::int64_t> bl;
-            bl.bounds = L.sbounds.data();
-            bl.guard = &L.guard;
-            bl.stats = &L.rung_stats;
-            if (L.job->hints != nullptr && !L.job->hints->phase1.empty()) {
-                bl.warm_start = &L.job->hints->phase1;
-                bl.warm_is_delta = true;
+            ShortestPaths<std::int64_t> sp1 = solve_rung<std::int64_t>(n, sedges, t, ws.scalar);
+            if (sp1.status != StatusCode::Ok) {
+                a4_failed_phase = 1;
+                t.push_stage("cyclic-doall", sp1.status, "phase 1 aborted");
+            } else if (sp1.has_negative_cycle) {
+                a4_failed_phase = 1;
+                t.push_stage("cyclic-doall", StatusCode::Infeasible, "phase 1 infeasible");
+            } else {
+                phase1_values = std::move(sp1.dist);
+                phase1_ok = true;
             }
-            parts.push_back(k);
-            blanes.push_back(bl);
         }
-        solve_rung<std::int64_t>(lanes, parts, blanes, n, efrom, eto,
-                                 ws != nullptr ? &ws->scalar : nullptr);
-
         // Phase 2: second retiming component. Only non-hard edges whose
         // x-retimed weight is exactly zero are constrained: they must land on
-        // (0,0), hence an equality on y (a doubled (forward, backward) pair
-        // over the shared skeleton, masked per lane).
-        std::vector<std::size_t> parts2;
-        std::vector<BatchLane<std::int64_t>> blanes2;
-        for (std::size_t p = 0; p < parts.size(); ++p) {
-            Lane& L = lanes[parts[p]];
-            BatchLane<std::int64_t>& bl = blanes[p];
-            if (bl.status != StatusCode::Ok) {
-                L.a4_failed_phase = 1;
-                L.push_stage("cyclic-doall", bl.status, "phase 1 aborted");
-                continue;
-            }
-            if (bl.has_negative_cycle) {
-                L.a4_failed_phase = 1;
-                L.push_stage("cyclic-doall", StatusCode::Infeasible, "phase 1 infeasible");
-                continue;
-            }
-            L.phase1_values = std::move(bl.dist);
-            L.job->artifacts.phase1 = L.phase1_values;
-            if (faultpoint::triggered("cyclic_doall.phase2")) {
-                L.a4_failed_phase = 2;  // simulated phase-2 infeasibility
-                L.push_stage("cyclic-doall", StatusCode::Infeasible, "phase 2 infeasible");
-                continue;
-            }
-            L.sbounds2.assign(2 * ne, 0);
-            L.enabled2.assign(2 * ne, 0);
+        // (0,0), hence an equality on y -- a (forward, backward) pair of
+        // constraints.
+        if (phase1_ok && faultpoint::triggered("cyclic_doall.phase2")) {
+            a4_failed_phase = 2;  // simulated phase-2 infeasibility
+            t.push_stage("cyclic-doall", StatusCode::Infeasible, "phase 2 infeasible");
+        } else if (phase1_ok) {
+            auto& eq = ws.scalar.edges_eq;
+            eq.clear();
             bool overflowed = false;
             for (std::size_t e = 0; e < ne && !overflowed; ++e) {
-                if (L.hard[e] != 0) continue;
-                const std::int64_t dx = L.g->edges()[e].delta().x;
+                const auto& de = g.edges()[e];
+                if (de.is_hard()) continue;
                 std::int64_t shifted = 0;
                 std::int64_t retimed_x = 0;
-                if (__builtin_add_overflow(
-                        dx, L.phase1_values[static_cast<std::size_t>(efrom[e])], &shifted) ||
-                    __builtin_sub_overflow(
-                        shifted, L.phase1_values[static_cast<std::size_t>(eto[e])],
-                        &retimed_x)) {
-                    overflowed = true;
-                    break;
-                }
-                if (retimed_x != 0) continue;
-                const std::int64_t dy = L.g->edges()[e].delta().y;
-                L.sbounds2[2 * e] = dy;
-                L.sbounds2[2 * e + 1] = -dy;
-                L.enabled2[2 * e] = 1;
-                L.enabled2[2 * e + 1] = 1;
+                overflowed =
+                    __builtin_add_overflow(de.delta().x,
+                                           phase1_values[static_cast<std::size_t>(de.from)],
+                                           &shifted) ||
+                    __builtin_sub_overflow(shifted, phase1_values[static_cast<std::size_t>(de.to)],
+                                           &retimed_x);
+                if (overflowed || retimed_x != 0) continue;
+                eq.push_back({de.from, de.to, de.delta().y});
+                eq.push_back({de.to, de.from, -de.delta().y});
             }
-            if (overflowed) {
-                L.a4_failed_phase = 2;
-                L.push_stage("cyclic-doall", StatusCode::Overflow, "phase 2 aborted");
-                continue;
-            }
-            BatchLane<std::int64_t> bl2;
-            bl2.bounds = L.sbounds2.data();
-            bl2.enabled = L.enabled2.data();
-            bl2.guard = &L.guard;
-            bl2.stats = &L.rung_stats;
-            parts2.push_back(parts[p]);
-            blanes2.push_back(bl2);
-        }
-        solve_rung<std::int64_t>(lanes, parts2, blanes2, n, efrom2, eto2,
-                                 ws != nullptr ? &ws->scalar : nullptr);
-        for (std::size_t p = 0; p < parts2.size(); ++p) {
-            Lane& L = lanes[parts2[p]];
-            BatchLane<std::int64_t>& bl2 = blanes2[p];
-            if (bl2.status != StatusCode::Ok) {
-                L.a4_failed_phase = 2;
-                L.push_stage("cyclic-doall", bl2.status, "phase 2 aborted");
-                continue;
-            }
-            if (bl2.has_negative_cycle) {
-                L.a4_failed_phase = 2;
-                L.push_stage("cyclic-doall", StatusCode::Infeasible, "phase 2 infeasible");
-                continue;
-            }
-            Retiming r(n);
-            for (int v = 0; v < n; ++v) {
-                r.of(v) = Vec2{L.phase1_values[static_cast<std::size_t>(v)],
-                               bl2.dist[static_cast<std::size_t>(v)]};
-            }
-            FusionPlan plan;
-            plan.retiming = std::move(r);
-            plan.algorithm = AlgorithmUsed::CyclicDoall;
-            plan.level = ParallelismLevel::InnerDoall;
-            const std::string err = finalize_plan(*L.g, plan);
-            if (err.empty()) {
-                L.push_stage("cyclic-doall", StatusCode::Ok, {});
-                accept(L, std::move(plan));
+            ShortestPaths<std::int64_t> sp2;
+            if (!overflowed) sp2 = solve_rung<std::int64_t>(n, eq, t, ws.scalar);
+            if (overflowed || sp2.status != StatusCode::Ok) {
+                a4_failed_phase = 2;
+                t.push_stage("cyclic-doall", overflowed ? StatusCode::Overflow : sp2.status,
+                             "phase 2 aborted");
+            } else if (sp2.has_negative_cycle) {
+                a4_failed_phase = 2;
+                t.push_stage("cyclic-doall", StatusCode::Infeasible, "phase 2 infeasible");
             } else {
-                L.push_stage("cyclic-doall", StatusCode::Internal, err);
+                Retiming r(n);
+                for (int v = 0; v < n; ++v) {
+                    r.of(v) = Vec2{phase1_values[static_cast<std::size_t>(v)],
+                                   sp2.dist[static_cast<std::size_t>(v)]};
+                }
+                FusionPlan plan;
+                plan.retiming = std::move(r);
+                plan.algorithm = AlgorithmUsed::CyclicDoall;
+                plan.level = ParallelismLevel::InnerDoall;
+                const std::string err = finalize_plan(g, plan);
+                if (err.empty()) {
+                    t.push_stage("cyclic-doall", StatusCode::Ok, {});
+                    return accept(std::move(plan));
+                }
+                t.push_stage("cyclic-doall", StatusCode::Internal, err);
             }
         }
-    }
 
-    // ---- Rung 3: forced-carry variant (extension; still DOALL rows). ----
-    if (run_rungs) {
-        std::vector<std::size_t> parts;
-        std::vector<BatchLane<std::int64_t>> blanes;
-        for (std::size_t k = 0; k < lanes.size(); ++k) {
-            Lane& L = lanes[k];
-            if (L.done()) continue;
-            if (faultpoint::triggered("forced_carry")) {
-                L.push_stage("forced-carry", StatusCode::Internal,
-                             "cyclic_doall_all_hard: fault injected");
-                continue;
-            }
-            ++L.rung_stats.rungs_shared;  // schedulability verdict reused
-            L.sbounds.resize(ne);
-            for (std::size_t e = 0; e < ne; ++e) {
-                L.sbounds[e] = L.g->edges()[e].delta().x - 1;
-            }
-            BatchLane<std::int64_t> bl;
-            bl.bounds = L.sbounds.data();
-            bl.guard = &L.guard;
-            bl.stats = &L.rung_stats;
+        // ---- Rung 3: forced-carry variant (extension; still DOALL rows). ----
+        if (faultpoint::triggered("forced_carry")) {
+            t.push_stage("forced-carry", StatusCode::Internal,
+                         "cyclic_doall_all_hard: fault injected");
+        } else {
+            ++t.rung_stats.rungs_shared;  // schedulability verdict reused
+            for (std::size_t e = 0; e < ne; ++e) sedges[e].weight = g.edges()[e].delta().x - 1;
             // The forced system only tightens phase 1's (non-hard bounds drop
-            // from delta.x to delta.x - 1), so phase 1's fixpoint -- or a
-            // neighbor's delta hint for it -- is a valid starting potential.
-            if (!L.phase1_values.empty()) {
-                bl.warm_start = &L.phase1_values;
-            } else if (L.job->hints != nullptr && !L.job->hints->phase1.empty()) {
-                bl.warm_start = &L.job->hints->phase1;
-                bl.warm_is_delta = true;
-            }
-            parts.push_back(k);
-            blanes.push_back(bl);
-        }
-        solve_rung<std::int64_t>(lanes, parts, blanes, n, efrom, eto,
-                                 ws != nullptr ? &ws->scalar : nullptr);
-        for (std::size_t p = 0; p < parts.size(); ++p) {
-            Lane& L = lanes[parts[p]];
-            BatchLane<std::int64_t>& bl = blanes[p];
-            if (bl.status != StatusCode::Ok) {
-                L.push_stage("forced-carry", bl.status, "cyclic_doall_all_hard: solve aborted");
-                continue;
-            }
-            if (bl.has_negative_cycle) {
-                L.push_stage("forced-carry", StatusCode::Infeasible,
+            // from delta.x to delta.x - 1), so phase 1's fixpoint is a valid
+            // starting potential.
+            ShortestPaths<std::int64_t> sp = solve_rung<std::int64_t>(
+                n, sedges, t, ws.scalar, phase1_values.empty() ? nullptr : &phase1_values);
+            if (sp.status != StatusCode::Ok) {
+                t.push_stage("forced-carry", sp.status, "cyclic_doall_all_hard: solve aborted");
+            } else if (sp.has_negative_cycle) {
+                t.push_stage("forced-carry", StatusCode::Infeasible,
                              "cyclic_doall_all_hard: no retiming can carry every edge on the "
                              "outer loop (negative cycle in the forced system)");
-                continue;
-            }
-            Retiming r(n);
-            for (int v = 0; v < n; ++v) {
-                r.of(v) = Vec2{bl.dist[static_cast<std::size_t>(v)], 0};
-            }
-            FusionPlan plan;
-            plan.retiming = std::move(r);
-            plan.algorithm = AlgorithmUsed::CyclicDoallForced;
-            plan.level = ParallelismLevel::InnerDoall;
-            const std::string err = finalize_plan(*L.g, plan);
-            if (err.empty()) {
-                L.push_stage("forced-carry", StatusCode::Ok, {});
-                accept(L, std::move(plan));
             } else {
-                L.push_stage("forced-carry", StatusCode::Internal, err);
+                Retiming r(n);
+                for (int v = 0; v < n; ++v) {
+                    r.of(v) = Vec2{sp.dist[static_cast<std::size_t>(v)], 0};
+                }
+                FusionPlan plan;
+                plan.retiming = std::move(r);
+                plan.algorithm = AlgorithmUsed::CyclicDoallForced;
+                plan.level = ParallelismLevel::InnerDoall;
+                const std::string err = finalize_plan(g, plan);
+                if (err.empty()) {
+                    t.push_stage("forced-carry", StatusCode::Ok, {});
+                    return accept(std::move(plan));
+                }
+                t.push_stage("forced-carry", StatusCode::Internal, err);
             }
         }
-    }
 
-    // ---- Rung 4: Algorithm 5 (hyperplane wavefront). ----
-    if (run_rungs) {
-        std::vector<std::size_t> parts;
-        std::vector<BatchLane<Vec2>> blanes;
-        for (std::size_t k = 0; k < lanes.size(); ++k) {
-            Lane& L = lanes[k];
-            if (L.done()) continue;
-            if (faultpoint::triggered("hyperplane")) {
-                L.push_stage("hyperplane", StatusCode::Internal,
-                             "hyperplane_fusion: fault injected");
-                continue;
-            }
-            if (faultpoint::triggered("llofra")) {
-                L.push_stage("hyperplane", StatusCode::Internal, "llofra: fault injected");
-                continue;
-            }
-            ++L.rung_stats.rungs_shared;  // schedulability verdict reused
-            L.vbounds.resize(ne);
-            for (std::size_t e = 0; e < ne; ++e) {
-                // Require delta_r(e) >= (0,0), i.e. r(to) - r(from) <= delta(e).
-                L.vbounds[e] = L.g->edges()[e].delta();
-            }
-            BatchLane<Vec2> bl;
-            bl.bounds = L.vbounds.data();
-            bl.guard = &L.guard;
-            bl.stats = &L.rung_stats;
-            if (L.job->hints != nullptr && !L.job->hints->llofra.empty()) {
-                bl.warm_start = &L.job->hints->llofra;
-                bl.warm_is_delta = true;
-            }
-            parts.push_back(k);
-            blanes.push_back(bl);
-        }
-        solve_rung<Vec2>(lanes, parts, blanes, n, efrom, eto,
-                         ws != nullptr ? &ws->vec2 : nullptr);
-        for (std::size_t p = 0; p < parts.size(); ++p) {
-            Lane& L = lanes[parts[p]];
-            BatchLane<Vec2>& bl = blanes[p];
-            if (bl.status != StatusCode::Ok) {
-                L.push_stage("hyperplane", bl.status, "llofra: solve aborted");
-                continue;
-            }
-            if (bl.has_negative_cycle) {
+        // ---- Rung 4: Algorithm 5 (hyperplane wavefront). ----
+        if (faultpoint::triggered("hyperplane")) {
+            t.push_stage("hyperplane", StatusCode::Internal, "hyperplane_fusion: fault injected");
+        } else if (faultpoint::triggered("llofra")) {
+            t.push_stage("hyperplane", StatusCode::Internal, "llofra: fault injected");
+        } else {
+            ++t.rung_stats.rungs_shared;  // schedulability verdict reused
+            // Require delta_r(e) >= (0,0), i.e. r(to) - r(from) <= delta(e).
+            for (std::size_t e = 0; e < ne; ++e) vedges[e].weight = g.edges()[e].delta();
+            ShortestPaths<Vec2> sp = solve_rung<Vec2>(n, vedges, t, ws.vec2);
+            if (sp.status != StatusCode::Ok) {
+                t.push_stage("hyperplane", sp.status, "llofra: solve aborted");
+            } else if (sp.has_negative_cycle) {
                 // Theorem 3.2: feasible because every cycle weighs > (0,0).
-                L.push_stage("hyperplane", StatusCode::Internal,
+                t.push_stage("hyperplane", StatusCode::Internal,
                              "llofra: internal error (constraint system infeasible on a "
                              "schedulable MLDG)");
-                continue;
-            }
-            L.job->artifacts.llofra = bl.dist;
-            FusionPlan plan;
-            plan.retiming = Retiming(std::move(bl.dist));
-            plan.algorithm = AlgorithmUsed::Hyperplane;
-            plan.level = ParallelismLevel::Hyperplane;
-            // The one retiming application: its result serves both the
-            // schedule derivation (Lemma 4.3) and plan finalization.
-            Mldg retimed = plan.retiming.apply(*L.g);
-            try {
-                plan.schedule = schedule_vector_for(retimed);
-            } catch (const Error& e) {
-                L.push_stage("hyperplane", StatusCode::Internal, e.what());
-                continue;
-            }
-            plan.hyperplane = Vec2{plan.schedule.y, -plan.schedule.x};
-            if (!is_strict_schedule_vector(retimed, plan.schedule)) {
-                L.push_stage(
-                    "hyperplane", StatusCode::Internal,
-                    "hyperplane_fusion: internal error (computed schedule is not strict)");
-                continue;
-            }
-            const std::string err = finalize_plan(*L.g, plan, &retimed,
-                                                  /*schedule_already_strict=*/true);
-            if (err.empty()) {
-                L.push_stage("hyperplane", StatusCode::Ok, {});
-                accept(L, std::move(plan));
             } else {
-                L.push_stage("hyperplane", StatusCode::Internal, err);
+                FusionPlan plan;
+                plan.retiming = Retiming(std::move(sp.dist));
+                plan.algorithm = AlgorithmUsed::Hyperplane;
+                plan.level = ParallelismLevel::Hyperplane;
+                // The one retiming application: its result serves both the
+                // schedule derivation (Lemma 4.3) and plan finalization.
+                Mldg retimed = plan.retiming.apply(g);
+                std::string err;
+                try {
+                    plan.schedule = schedule_vector_for(retimed);
+                } catch (const Error& e) {
+                    err = e.what();
+                }
+                if (err.empty()) {
+                    plan.hyperplane = Vec2{plan.schedule.y, -plan.schedule.x};
+                    err = is_strict_schedule_vector(retimed, plan.schedule)
+                              ? finalize_plan(g, plan, &retimed, /*schedule_already_strict=*/true)
+                              : "hyperplane_fusion: internal error (computed schedule is not "
+                                "strict)";
+                }
+                if (err.empty()) {
+                    t.push_stage("hyperplane", StatusCode::Ok, {});
+                    return accept(std::move(plan));
+                }
+                t.push_stage("hyperplane", StatusCode::Internal, err);
             }
         }
     }
 
     // ---- Rung 5: loop distribution (unfused but legal), then the terminal
     // all-rungs-fell-through status. ----
-    for (Lane& L : lanes) {
-        if (L.done()) continue;
-        // No solver involved: the plan *is* the original program, so it needs
-        // no verification beyond program-model legality (checked above). Only
-        // that legality makes the unfused original executable, so graphs like
-        // the paper's Figure 14 (schedulable only) cannot take this rung.
-        if (options.allow_distribution_fallback) {
-            if (!L.model_legal) {
-                L.push_stage("distribution", StatusCode::IllegalInput,
-                             "input is not program-model legal; the unfused original is not "
-                             "an executable Figure-1 program");
-            } else if (faultpoint::triggered("distribution")) {
-                L.push_stage("distribution", StatusCode::Internal, "fault injected");
-            } else {
-                FusionPlan plan;
-                plan.retiming = Retiming(n);  // identity
-                plan.level = ParallelismLevel::Unfused;
-                plan.algorithm = AlgorithmUsed::DistributionFallback;
-                plan.retimed = *L.g;
-                plan.body_order = program_order_of(*L.g);
-                L.push_stage("distribution", StatusCode::Ok, "unfused fallback");
-                plan.cyclic_doall_failed_phase = L.a4_failed_phase;
-                plan.stages = std::move(L.stages);
-                L.job->result.emplace(std::move(plan));
-                continue;
-            }
-        }
-        StatusCode worst = StatusCode::Internal;
-        int worst_rank = -1;
-        for (const auto& s : L.stages) {
-            if (s.code == StatusCode::Ok) continue;
-            if (severity(s.code) > worst_rank) {
-                worst_rank = severity(s.code);
-                worst = s.code;
-            }
-        }
-        L.fail(Status(worst, "try_plan_fusion: no ladder rung produced a verifiable plan"));
-    }
-}
-
-}  // namespace
-
-void try_plan_fusion_batch(std::span<BatchPlanJob> jobs, const TryPlanOptions& options) {
-    for (const BatchPlanJob& j : jobs) {
-        check(j.graph != nullptr, "try_plan_fusion_batch: job without a graph");
-    }
-    // Group by constraint-graph skeleton (node count + endpoint arrays):
-    // each group solves over one shared edge structure.
-    std::map<std::vector<int>, std::vector<std::size_t>> groups;
-    std::vector<int> key;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const Mldg& g = *jobs[i].graph;
-        key.clear();
-        key.reserve(1 + 2 * g.edges().size());
-        key.push_back(g.num_nodes());
-        for (const auto& e : g.edges()) {
-            key.push_back(e.from);
-            key.push_back(e.to);
-        }
-        groups[key].push_back(i);
-    }
-    for (auto& [sig, idxs] : groups) plan_group(jobs, idxs, options);
-}
-
-void try_plan_fusion_batch_nd(std::span<BatchPlanJobNd> jobs) {
-    for (BatchPlanJobNd& j : jobs) {
-        check(j.graph != nullptr, "try_plan_fusion_batch_nd: job without a graph");
-        try {
-            j.plan = plan_fusion_nd(*j.graph, j.workspace);
-        } catch (const std::exception& e) {
-            j.plan.reset();
-            j.error = e.what();
+    // No solver involved: the plan *is* the original program, so it needs no
+    // verification beyond program-model legality (checked above). Only that
+    // legality makes the unfused original executable, so graphs like the
+    // paper's Figure 14 (schedulable only) cannot take this rung.
+    if (options.allow_distribution_fallback) {
+        if (!model_legal) {
+            t.push_stage("distribution", StatusCode::IllegalInput,
+                         "input is not program-model legal; the unfused original is not an "
+                         "executable Figure-1 program");
+        } else if (faultpoint::triggered("distribution")) {
+            t.push_stage("distribution", StatusCode::Internal, "fault injected");
+        } else {
+            FusionPlan plan;
+            plan.retiming = Retiming(n);  // identity
+            plan.level = ParallelismLevel::Unfused;
+            plan.algorithm = AlgorithmUsed::DistributionFallback;
+            plan.retimed = g;
+            plan.body_order = program_order_of(g);
+            t.push_stage("distribution", StatusCode::Ok, "unfused fallback");
+            plan.cyclic_doall_failed_phase = a4_failed_phase;
+            plan.stages = std::move(t.stages);
+            return plan;
         }
     }
+    StatusCode worst = StatusCode::Internal;
+    int worst_rank = -1;
+    for (const auto& s : t.stages) {
+        if (s.code == StatusCode::Ok) continue;
+        if (severity(s.code) > worst_rank) {
+            worst_rank = severity(s.code);
+            worst = s.code;
+        }
+    }
+    return t.fail(Status(worst, "try_plan_fusion: no ladder rung produced a verifiable plan"));
 }
 
 }  // namespace lf

@@ -29,7 +29,10 @@
 // passed, function-local otherwise), so a reused workspace makes the
 // steady-state solve allocation-free. bellman_ford_all_sources additionally
 // accepts a *warm start*: a previous all-sources fixpoint adopted as the
-// starting potential.
+// starting potential, and an *early cycle exit*: after every pass that
+// still relaxes, an O(|V|) probe of the predecessor graph
+// (detail::pred_graph_has_cycle) stops an infeasible solve as soon as its
+// predecessor pointers close a cycle, instead of after all |V| passes.
 //
 // Warm-start legality (the reason results stay byte-identical): the cold
 // all-sources fixpoint is F[v] = min over walks ending at v of the walk
@@ -62,15 +65,6 @@
 
 namespace lf {
 
-/// A weighted edge for the solver; decoupled from Digraph so constraint
-/// systems can feed edge lists directly.
-template <typename W>
-struct WeightedEdge {
-    int from = -1;
-    int to = -1;
-    W weight{};
-};
-
 template <typename W>
 struct ShortestPaths {
     /// dist[v]: shortest distance from the (virtual or explicit) source.
@@ -94,8 +88,8 @@ namespace detail {
 /// negative cycle until the walk closes, returning that cycle's edge ids.
 /// `pred_edge` is a raw view so both owned and workspace buffers serve.
 template <typename W>
-std::vector<int> extract_cycle(const std::vector<WeightedEdge<W>>& edges,
-                               const int* pred_edge, int n, int start) {
+std::vector<int> extract_cycle(std::span<const WeightedEdge<W>> edges, const int* pred_edge,
+                               int n, int start) {
     // After n predecessor hops we are guaranteed to sit on the cycle itself.
     int v = start;
     for (int hop = 0; hop < n; ++hop) {
@@ -123,6 +117,38 @@ std::vector<int> extract_cycle(const std::vector<WeightedEdge<W>>& edges,
     return {trimmed.rbegin(), trimmed.rend()};
 }
 
+/// O(|V|) negative-cycle probe for the early-exit path of the all-sources
+/// kernel: a cycle among the predecessor pointers implies a negative cycle
+/// in the constraint graph (every pred edge strictly lowered its head's
+/// distance, so summing a pred cycle's relaxations telescopes to a negative
+/// weight). The converse is supplied by the classical n-th-pass rule, which
+/// the kernel keeps as its backstop -- this probe only lets infeasible
+/// systems surface after a handful of passes instead of all |V| of them.
+/// Returns a vertex on the cycle, or -1. `mark`/`walk` are caller-owned
+/// scratch (resized here).
+template <typename W, typename MarkBuf, typename WalkBuf>
+int pred_graph_has_cycle(std::span<const WeightedEdge<W>> edges, const int* pred_edge, int n,
+                         MarkBuf& mark, WalkBuf& walk) {
+    mark.assign(static_cast<std::size_t>(n), 0);  // 0 unvisited, 1 in walk, 2 done
+    for (int s = 0; s < n; ++s) {
+        if (mark[static_cast<std::size_t>(s)] != 0) continue;
+        walk.clear();
+        int v = s;
+        while (true) {
+            const signed char m = mark[static_cast<std::size_t>(v)];
+            if (m == 1) return v;  // closed a walk on itself: pred cycle
+            if (m == 2) break;     // merged into an already-cleared walk
+            mark[static_cast<std::size_t>(v)] = 1;
+            walk.push_back(v);
+            const int pe = pred_edge[static_cast<std::size_t>(v)];
+            if (pe < 0) break;
+            v = edges[static_cast<std::size_t>(pe)].from;
+        }
+        for (int u : walk) mark[static_cast<std::size_t>(u)] = 2;
+    }
+    return -1;
+}
+
 /// Accumulates solver counters in locals and flushes them into the caller's
 /// SolverStats (if any) on every exit path. Null target: all accounting,
 /// including the clock reads, is skipped.
@@ -142,7 +168,7 @@ class StatsScope {
         target_->queue_pushes += queue_pushes;
         target_->queue_pops += queue_pops;
         target_->guard_steps += guard_steps;
-        target_->overflow_near_misses += overflow_near_misses;
+        target_->overflow_warnings += overflow_warnings;
         target_->warm_starts += warm_starts;
         target_->cold_solves += cold_solves;
         target_->wall_ns += static_cast<std::uint64_t>(
@@ -159,7 +185,7 @@ class StatsScope {
     std::uint64_t queue_pushes = 0;
     std::uint64_t queue_pops = 0;
     std::uint64_t guard_steps = 0;
-    std::uint64_t overflow_near_misses = 0;
+    std::uint64_t overflow_warnings = 0;
     std::uint64_t warm_starts = 0;
     std::uint64_t cold_solves = 0;
 
@@ -179,14 +205,19 @@ class StatsScope {
 /// all-sources fixpoint of a subsystem, adopted as the starting potential
 /// when valid (every entry <= zero; see the warm-start note above). The
 /// returned distances are identical either way; only the work differs.
+/// `early_cycle_exit` runs the predecessor-cycle probe after every pass, so
+/// an infeasible system stops within a few passes; the status, the verdict
+/// and a feasible fixpoint are unchanged, only the work shrinks (the
+/// witness in `negative_cycle` is then the predecessor cycle found).
 template <typename W>
 ShortestPaths<W> bellman_ford_all_sources(int num_nodes,
-                                          const std::vector<WeightedEdge<W>>& edges,
+                                          std::span<const WeightedEdge<W>> edges,
                                           ResourceGuard* guard = nullptr,
                                           SolverStats* stats = nullptr,
                                           const WeightTraits<W>& traits = {},
                                           SolverWorkspace<W>* ws = nullptr,
-                                          const std::vector<W>* warm_start = nullptr) {
+                                          const std::vector<W>* warm_start = nullptr,
+                                          bool early_cycle_exit = false) {
     detail::StatsScope scope(stats);
     SolverWorkspace<W> local;  // used only when the caller owns no arena
     SolverWorkspace<W>& arena = ws != nullptr ? *ws : local;
@@ -251,13 +282,23 @@ ShortestPaths<W> bellman_ford_all_sources(int num_nodes,
             }
             if (cand < dist[static_cast<std::size_t>(e.to)]) {
                 ++scope.relaxations;
-                if (scope.enabled() && traits.near_overflow(cand)) ++scope.overflow_near_misses;
+                if (scope.enabled() && traits.near_overflow(cand)) ++scope.overflow_warnings;
                 dist[static_cast<std::size_t>(e.to)] = cand;
                 pred[static_cast<std::size_t>(e.to)] = static_cast<int>(ei);
                 changed = true;
             }
         }
         if (!changed) return finish();
+        if (early_cycle_exit) {
+            const int on_cycle = detail::pred_graph_has_cycle(edges, pred.data(), num_nodes,
+                                                              arena.cycle_mark, arena.cycle_walk);
+            if (on_cycle >= 0) {
+                r.has_negative_cycle = true;
+                r.negative_cycle =
+                    detail::extract_cycle<W>(edges, pred.data(), num_nodes, on_cycle);
+                return finish();
+            }
+        }
     }
     // An n-th pass that still relaxes implies a negative cycle.
     for (std::size_t ei = 0; ei < edges.size(); ++ei) {
@@ -271,291 +312,11 @@ ShortestPaths<W> bellman_ford_all_sources(int num_nodes,
         if (cand < dist[static_cast<std::size_t>(e.to)]) {
             r.has_negative_cycle = true;
             pred[static_cast<std::size_t>(e.to)] = static_cast<int>(ei);
-            r.negative_cycle = detail::extract_cycle(edges, pred.data(), num_nodes, e.to);
+            r.negative_cycle = detail::extract_cycle<W>(edges, pred.data(), num_nodes, e.to);
             return finish();
         }
     }
     return finish();
-}
-
-namespace detail {
-
-/// O(n) negative-cycle probe for the early-exit path of the batched kernel:
-/// a cycle among the predecessor pointers implies a negative cycle in the
-/// constraint graph (every pred edge strictly lowered its head's distance,
-/// so summing a pred cycle's relaxations telescopes to a negative weight).
-/// The converse is supplied by the classical n-th-pass rule, which the
-/// kernel keeps as its backstop -- this probe only lets infeasible systems
-/// surface after a handful of passes instead of all |V| of them.
-/// `mark`/`walk` are caller-owned scratch (resized here).
-template <typename W>
-bool pred_graph_has_cycle(const WeightedEdge<W>* /*tag*/, const int* pred_edge,
-                          const int* edge_from, int n, std::vector<signed char>& mark,
-                          std::vector<int>& walk) {
-    mark.assign(static_cast<std::size_t>(n), 0);  // 0 unvisited, 1 in walk, 2 done
-    for (int s = 0; s < n; ++s) {
-        if (mark[static_cast<std::size_t>(s)] != 0) continue;
-        walk.clear();
-        int v = s;
-        while (true) {
-            const signed char m = mark[static_cast<std::size_t>(v)];
-            if (m == 1) return true;  // closed a walk on itself: pred cycle
-            if (m == 2) break;        // merged into an already-cleared walk
-            mark[static_cast<std::size_t>(v)] = 1;
-            walk.push_back(v);
-            const int pe = pred_edge[static_cast<std::size_t>(v)];
-            if (pe < 0) break;
-            v = edge_from[static_cast<std::size_t>(pe)];
-        }
-        for (int u : walk) mark[static_cast<std::size_t>(u)] = 2;
-    }
-    return false;
-}
-
-}  // namespace detail
-
-/// One job's view of a batched all-sources solve: per-edge bounds (and an
-/// optional participation mask) over the batch's *shared* endpoint arrays,
-/// plus the same optional warm start / guard / stats the sequential entry
-/// point takes. Outputs mirror ShortestPaths minus the witness extraction
-/// (the ladder rungs never consume conflict cycles; legality checking, which
-/// does, stays on bellman_ford_all_sources).
-template <typename W>
-struct BatchLane {
-    // ---- Inputs ----
-    /// bounds[e]: this lane's weight for shared edge e. Required.
-    const W* bounds = nullptr;
-    /// enabled[e] == 0 excludes shared edge e from this lane's system
-    /// entirely (no scan, no guard step -- exactly as if the lane's edge
-    /// list had been filtered). Null = all edges participate.
-    const unsigned char* enabled = nullptr;
-    /// Previous fixpoint of a subsystem, adopted when valid (<= 0 pointwise;
-    /// same contract as the sequential warm start).
-    const std::vector<W>* warm_start = nullptr;
-    ResourceGuard* guard = nullptr;
-    SolverStats* stats = nullptr;
-    /// Marks a warm start that came from a cached neighbor's distances (plan
-    /// cache delta-solve) rather than this job's own earlier rung; counted
-    /// into SolverStats::delta_solves when the warm start is adopted.
-    bool warm_is_delta = false;
-
-    // ---- Outputs ----
-    std::vector<W> dist;
-    bool has_negative_cycle = false;
-    StatusCode status = StatusCode::Ok;
-};
-
-/// Batched all-sources Bellman-Ford: K independent difference-constraint
-/// systems over ONE shared edge-endpoint structure, solved in lockstep.
-/// Distances live in a structure-of-arrays layout (dist[v * K + k], lane
-/// innermost), so the relaxation inner loop runs down contiguous lanes --
-/// the layout the ISSUE's SIMD framing asks for.
-///
-/// Per-lane semantics are bit-identical to running the sequential kernel on
-/// that lane's filtered edge list: lanes advance pass-by-pass together, a
-/// lane stops scanning the moment it quiesces (fixpoint), aborts alone on
-/// its own guard/overflow, and counts exactly the scans it would have done
-/// alone. Results therefore never depend on what else is in the batch.
-///
-/// `early_cycle_exit` additionally probes the predecessor graph after every
-/// pass (detail::pred_graph_has_cycle) so infeasible lanes finish in a few
-/// passes instead of |V|; verdicts and fixpoints are unchanged, only the
-/// work shrinks. No conflict witness is produced either way.
-///
-/// `ws` (optional): scratch arena; buffers are sized n * K and reused, so a
-/// steady-state batch solve performs no counted allocations.
-template <typename W>
-void bellman_ford_all_sources_batch(int num_nodes, std::span<const int> edge_from,
-                                    std::span<const int> edge_to,
-                                    std::span<BatchLane<W>> lanes,
-                                    const WeightTraits<W>& traits = {},
-                                    SolverWorkspace<W>* ws = nullptr,
-                                    bool early_cycle_exit = false) {
-    const auto n = static_cast<std::size_t>(num_nodes);
-    const std::size_t ne = edge_from.size();
-    const std::size_t K = lanes.size();
-    check(edge_to.size() == ne, "bellman_ford_batch: endpoint arrays disagree");
-    for (std::size_t ei = 0; ei < ne; ++ei) {
-        check(edge_from[ei] >= 0 && edge_from[ei] < num_nodes && edge_to[ei] >= 0 &&
-                  edge_to[ei] < num_nodes,
-              "bellman_ford_batch: edge endpoint out of range");
-    }
-    if (K == 0) return;
-
-    SolverWorkspace<W> local;
-    SolverWorkspace<W>& arena = ws != nullptr ? *ws : local;
-    auto& dist = arena.dist;       // SoA: dist[v * K + k]
-    auto& pred = arena.pred_edge;  // SoA: pred[v * K + k]
-    dist.assign(n * K, traits.zero());
-    pred.assign(n * K, -1);
-
-    // Per-lane bookkeeping (plain locals: tiny, lane-count-sized).
-    struct LaneCounters {
-        std::uint64_t edge_scans = 0;
-        std::uint64_t relaxations = 0;
-        std::uint64_t iterations = 0;
-        std::uint64_t guard_steps = 0;
-        std::uint64_t overflow_near_misses = 0;
-        bool warm = false;
-        bool delta = false;
-    };
-    std::vector<LaneCounters> counters(K);
-    std::vector<unsigned char> active(K, 1);
-    std::vector<unsigned char> changed(K, 0);
-    std::size_t alive = K;
-
-    const bool any_stats = [&] {
-        for (const auto& l : lanes) {
-            if (l.stats != nullptr) return true;
-        }
-        return false;
-    }();
-    const auto t0 = any_stats ? std::chrono::steady_clock::now()
-                              : std::chrono::steady_clock::time_point{};
-
-    auto finish_lane = [&](std::size_t k) {
-        BatchLane<W>& lane = lanes[k];
-        lane.dist.resize(n);
-        for (std::size_t v = 0; v < n; ++v) lane.dist[v] = dist[v * K + k];
-        active[k] = 0;
-        --alive;
-        if (lane.stats != nullptr) {
-            SolverStats& st = *lane.stats;
-            const LaneCounters& c = counters[k];
-            st.solves += 1;
-            st.edge_scans += c.edge_scans;
-            st.relaxations += c.relaxations;
-            st.iterations += c.iterations;
-            st.guard_steps += c.guard_steps;
-            st.overflow_near_misses += c.overflow_near_misses;
-            st.warm_starts += c.warm ? 1 : 0;
-            st.cold_solves += c.warm ? 0 : 1;
-            st.batch_solves += K >= 2 ? 1 : 0;
-            st.delta_solves += c.delta ? 1 : 0;
-            // Apportion the shared batch wall time across lanes: summing
-            // per-job stats must recover the kernel's actual wall time, not
-            // K times it.
-            st.wall_ns += static_cast<std::uint64_t>(
-                              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                  std::chrono::steady_clock::now() - t0)
-                                  .count()) /
-                          K;
-        }
-    };
-
-    // Seed each lane: fault point, then warm-or-cold initial potential.
-    for (std::size_t k = 0; k < K; ++k) {
-        BatchLane<W>& lane = lanes[k];
-        check(lane.bounds != nullptr || ne == 0, "bellman_ford_batch: lane without bounds");
-        if (faultpoint::triggered("solver.bellman_ford")) {
-            lane.status = StatusCode::Internal;
-            finish_lane(k);
-            continue;
-        }
-        bool warm = lane.warm_start != nullptr && lane.warm_start->size() == n;
-        if (warm) {
-            const W zero = traits.zero();
-            for (const W& v : *lane.warm_start) {
-                if (zero < v) {
-                    warm = false;
-                    break;
-                }
-            }
-        }
-        if (warm) {
-            for (std::size_t v = 0; v < n; ++v) dist[v * K + k] = (*lane.warm_start)[v];
-            counters[k].warm = true;
-            counters[k].delta = lane.warm_is_delta;
-        }
-    }
-
-    std::vector<signed char> cycle_mark;
-    std::vector<int> cycle_walk;
-    std::vector<int> lane_pred;  // pred slice scratch for the cycle probe
-    if (early_cycle_exit) lane_pred.resize(n);
-
-    for (int pass = 0; pass < num_nodes && alive > 0; ++pass) {
-        for (std::size_t k = 0; k < K; ++k) {
-            if (active[k] != 0) {
-                ++counters[k].iterations;
-                changed[k] = 0;
-            }
-        }
-        for (std::size_t ei = 0; ei < ne; ++ei) {
-            const auto f = static_cast<std::size_t>(edge_from[ei]);
-            const auto t = static_cast<std::size_t>(edge_to[ei]);
-            for (std::size_t k = 0; k < K; ++k) {
-                if (active[k] == 0) continue;
-                BatchLane<W>& lane = lanes[k];
-                if (lane.enabled != nullptr && lane.enabled[ei] == 0) continue;
-                ++counters[k].edge_scans;
-                if (lane.guard != nullptr) {
-                    ++counters[k].guard_steps;
-                    if (!lane.guard->consume()) {
-                        lane.status = StatusCode::ResourceExhausted;
-                        finish_lane(k);
-                        continue;
-                    }
-                }
-                W cand;
-                if (!traits.checked_add(dist[f * K + k], lane.bounds[ei], cand)) {
-                    lane.status = StatusCode::Overflow;
-                    finish_lane(k);
-                    continue;
-                }
-                if (cand < dist[t * K + k]) {
-                    ++counters[k].relaxations;
-                    if (lane.stats != nullptr && traits.near_overflow(cand)) {
-                        ++counters[k].overflow_near_misses;
-                    }
-                    dist[t * K + k] = cand;
-                    pred[t * K + k] = static_cast<int>(ei);
-                    changed[k] = 1;
-                }
-            }
-        }
-        for (std::size_t k = 0; k < K; ++k) {
-            if (active[k] == 0) continue;
-            if (changed[k] == 0) {
-                finish_lane(k);  // quiesced: this lane's fixpoint is final
-                continue;
-            }
-            if (early_cycle_exit) {
-                for (std::size_t v = 0; v < n; ++v) lane_pred[v] = pred[v * K + k];
-                if (detail::pred_graph_has_cycle<W>(nullptr, lane_pred.data(),
-                                                    edge_from.data(), num_nodes, cycle_mark,
-                                                    cycle_walk)) {
-                    lanes[k].has_negative_cycle = true;
-                    finish_lane(k);
-                }
-            }
-        }
-    }
-    // Lanes still relaxing after |V| passes sit on a negative cycle iff the
-    // detection pass still finds a relaxable edge (classical rule).
-    for (std::size_t ei = 0; ei < ne && alive > 0; ++ei) {
-        const auto f = static_cast<std::size_t>(edge_from[ei]);
-        const auto t = static_cast<std::size_t>(edge_to[ei]);
-        for (std::size_t k = 0; k < K; ++k) {
-            if (active[k] == 0) continue;
-            BatchLane<W>& lane = lanes[k];
-            if (lane.enabled != nullptr && lane.enabled[ei] == 0) continue;
-            ++counters[k].edge_scans;
-            W cand;
-            if (!traits.checked_add(dist[f * K + k], lane.bounds[ei], cand)) {
-                lane.status = StatusCode::Overflow;
-                finish_lane(k);
-                continue;
-            }
-            if (cand < dist[t * K + k]) {
-                lane.has_negative_cycle = true;
-                finish_lane(k);
-            }
-        }
-    }
-    for (std::size_t k = 0; k < K; ++k) {
-        if (active[k] != 0) finish_lane(k);  // completed: feasible fixpoint
-    }
 }
 
 /// Classical single-source Bellman-Ford (distances from `source`; unreachable
@@ -612,7 +373,7 @@ ShortestPaths<W> bellman_ford(int num_nodes, const std::vector<WeightedEdge<W>>&
             }
             if (cand < dist[static_cast<std::size_t>(e.to)]) {
                 ++scope.relaxations;
-                if (scope.enabled() && traits.near_overflow(cand)) ++scope.overflow_near_misses;
+                if (scope.enabled() && traits.near_overflow(cand)) ++scope.overflow_warnings;
                 dist[static_cast<std::size_t>(e.to)] = cand;
                 pred[static_cast<std::size_t>(e.to)] = static_cast<int>(ei);
                 changed = true;
@@ -632,7 +393,7 @@ ShortestPaths<W> bellman_ford(int num_nodes, const std::vector<WeightedEdge<W>>&
         if (cand < dist[static_cast<std::size_t>(e.to)]) {
             r.has_negative_cycle = true;
             pred[static_cast<std::size_t>(e.to)] = static_cast<int>(ei);
-            r.negative_cycle = detail::extract_cycle(edges, pred.data(), num_nodes, e.to);
+            r.negative_cycle = detail::extract_cycle<W>(edges, pred.data(), num_nodes, e.to);
             return finish();
         }
     }

@@ -26,6 +26,15 @@
 
 namespace lf {
 
+/// A weighted edge for the solver; decoupled from Digraph so constraint
+/// systems can feed edge lists directly.
+template <typename W>
+struct WeightedEdge {
+    int from = -1;
+    int to = -1;
+    W weight{};
+};
+
 /// Allocation telemetry for one workspace: every heap request the workspace's
 /// buffers make is counted here. Steady-state solves perform zero.
 struct AllocCounter {
@@ -117,7 +126,11 @@ class SolverWorkspace {
           queued(CountingAllocator<unsigned char>(&counter_)),
           relax_count(CountingAllocator<int>(&counter_)),
           csr_offsets(CountingAllocator<int>(&counter_)),
-          csr_edge_ids(CountingAllocator<int>(&counter_)) {}
+          csr_edge_ids(CountingAllocator<int>(&counter_)),
+          cycle_mark(CountingAllocator<signed char>(&counter_)),
+          cycle_walk(CountingAllocator<int>(&counter_)),
+          edges(CountingAllocator<WeightedEdge<W>>(&counter_)),
+          edges_eq(CountingAllocator<WeightedEdge<W>>(&counter_)) {}
 
     // The buffers' allocators point into this object; moving or copying the
     // workspace would leave them dangling.
@@ -138,6 +151,13 @@ class SolverWorkspace {
     Buffer<int> relax_count;       // SPFA per-vertex relaxation counters
     Buffer<int> csr_offsets;       // fallback CSR when the caller caches none
     Buffer<int> csr_edge_ids;
+    Buffer<signed char> cycle_mark;  // predecessor-cycle probe: visit marks
+    Buffer<int> cycle_walk;          // predecessor-cycle probe: current walk
+    /// Caller-staged edge lists: the planning ladder fills the endpoints
+    /// once per job and rewrites only the bounds from rung to rung
+    /// (`edges_eq` holds Algorithm 4 phase 2's equality pairs).
+    Buffer<WeightedEdge<W>> edges;
+    Buffer<WeightedEdge<W>> edges_eq;
 };
 
 /// The planner's full arena: one workspace per weight domain the 2-D ladder

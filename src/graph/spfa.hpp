@@ -135,7 +135,7 @@ SpfaResult<W> spfa_all_sources(int num_nodes, const std::vector<WeightedEdge<W>>
             }
             if (cand < dist[static_cast<std::size_t>(e.to)]) {
                 ++scope.relaxations;
-                if (scope.enabled() && traits.near_overflow(cand)) ++scope.overflow_near_misses;
+                if (scope.enabled() && traits.near_overflow(cand)) ++scope.overflow_warnings;
                 dist[static_cast<std::size_t>(e.to)] = cand;
                 if (++relaxations[static_cast<std::size_t>(e.to)] >= num_nodes) {
                     r.has_negative_cycle = true;

@@ -199,7 +199,8 @@ void Server::accept_loop() {
 
 void Server::serve_connection(std::shared_ptr<Connection> conn) {
     FrameDecoder decoder;
-    Clock::time_point last_byte = Clock::now();
+    Clock::time_point last_byte = Clock::now();  // slow-loris clock
+    Clock::time_point idle_since = last_byte;    // idle clock
     char buf[8192];
     bool open = true;
     while (open && !stop_.load()) {
@@ -210,15 +211,17 @@ void Server::serve_connection(std::shared_ptr<Connection> conn) {
             if (conn->closed) break;
         }
         if (rc == 0) {
-            const std::int64_t quiet = ms_between(last_byte, Clock::now());
-            if (decoder.mid_frame() && quiet > config_.read_timeout_ms) {
+            const Clock::time_point now = Clock::now();
+            // Waiting for our own reply is not client idleness.
+            if (conn->owed_replies.load() > 0) idle_since = now;
+            if (decoder.mid_frame() && ms_between(last_byte, now) > config_.read_timeout_ms) {
                 // Slow-loris: a started frame is trickling in too slowly to
                 // be anything but hostile or hopeless.
                 const std::lock_guard<std::mutex> lock(stats_mutex_);
                 ++stats_.read_timeouts;
                 break;
             }
-            if (!decoder.mid_frame() && quiet > config_.idle_timeout_ms) {
+            if (!decoder.mid_frame() && ms_between(idle_since, now) > config_.idle_timeout_ms) {
                 const std::lock_guard<std::mutex> lock(stats_mutex_);
                 ++stats_.idle_timeouts;
                 break;
@@ -243,6 +246,7 @@ void Server::serve_connection(std::shared_ptr<Connection> conn) {
             break;
         }
         last_byte = Clock::now();
+        idle_since = last_byte;
         decoder.feed(std::string_view(buf, static_cast<std::size_t>(n)));
         for (;;) {
             Frame frame;
@@ -266,6 +270,9 @@ void Server::serve_connection(std::shared_ptr<Connection> conn) {
                 ++stats_.frames_in;
             }
             handle_frame(conn, std::move(frame));
+            // The reader's own work on the frame (a large payload parses
+            // for a while) is not client idleness either.
+            idle_since = Clock::now();
             const std::lock_guard<std::mutex> lock(conn->write_mutex);
             if (conn->closed) {
                 open = false;
@@ -401,6 +408,7 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn, Frame frame) 
     job.request_id = frame.request_id;
     job.spec = std::move(spec);
     inflight_.fetch_add(1);
+    conn->owed_replies.fetch_add(1);
     {
         // Counted before a worker can finish it: verified + quarantined
         // never runs ahead of admitted in a stats() snapshot.
@@ -452,6 +460,7 @@ void Server::worker_loop() {
             err.payload = error;
             (void)send_frame(job.conn, err);
         }
+        job.conn->owed_replies.fetch_sub(1);
         inflight_.fetch_sub(1);
     }
 }

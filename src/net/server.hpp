@@ -26,7 +26,10 @@
 //     in JobSpec::deadline_ms, where it combines (tighter wins) with the
 //     service-wide RetryPolicy::deadline_ms;
 //   * slow-loris defense -- connections idle longer than `idle_timeout_ms`,
-//     or feeding a started frame slower than `read_timeout_ms`, are closed;
+//     or feeding a started frame slower than `read_timeout_ms`, are closed.
+//     A connection is idle only while the client owes the next move: the
+//     idle clock restarts once the reader has handled a frame, and never
+//     runs while an admitted job on the connection still awaits its reply;
 //   * malformed bytes -- the decoder's typed WireError goes back in an
 //     Error frame and the (unsynchronizable) connection closes.
 //
@@ -78,7 +81,8 @@ struct ServerConfig {
     int max_connections = 64;
     /// Admitted-but-unanswered job cap; above it new requests shed.
     int max_inflight = 256;
-    /// Close connections with no bytes for this long between frames.
+    /// Close connections with no bytes for this long between frames (counted
+    /// from the later of the last handled frame and the last owed reply).
     int idle_timeout_ms = 5000;
     /// Close connections that started a frame but feed it slower than this
     /// (slow-loris defense).
@@ -145,6 +149,9 @@ class Server {
         const int fd;
         std::mutex write_mutex;
         bool closed = false;  // guarded by write_mutex
+        /// Admitted jobs whose reply has not been sent yet; the connection
+        /// is not idle while this is nonzero.
+        std::atomic<int> owed_replies{0};
     };
 
     struct PendingJob {

@@ -33,7 +33,7 @@ struct SolverStats {
     /// Relaxations whose result came within 1/8 of the weight domain's
     /// overflow cap: early warning that inputs are drifting toward the
     /// Overflow hard stop.
-    std::uint64_t overflow_near_misses = 0;
+    std::uint64_t overflow_warnings = 0;
     /// All-sources solves that started from a caller-supplied previous
     /// fixpoint instead of the all-zero potential (incremental re-solve of a
     /// grown constraint system; see graph/bellman_ford.hpp).
@@ -43,15 +43,8 @@ struct SolverStats {
     std::uint64_t cold_solves = 0;
     /// Ladder rungs that reused the shared constraint-system core (edge
     /// arrays, cached schedulability verdict, previous-rung fixpoints)
-    /// instead of rebuilding their system from the MLDG (fusion/ladder.hpp).
+    /// instead of rebuilding their system from the MLDG (fusion/ladder.cpp).
     std::uint64_t rungs_shared = 0;
-    /// Solves executed by the batched all-sources kernel together with at
-    /// least one other job over shared adjacency (one count per lane).
-    std::uint64_t batch_solves = 0;
-    /// Solves warm-started from a cached *neighbor's* feasible distances
-    /// (plan-cache structural near-miss; see svc/plancache.hpp) rather than
-    /// from this job's own previous rung.
-    std::uint64_t delta_solves = 0;
     /// Wall time spent inside solver entry points, in nanoseconds. Only
     /// meaningful on the machine that produced it; report emission omits it
     /// under the determinism contract (include_timings=false).
@@ -65,12 +58,10 @@ struct SolverStats {
         queue_pushes += o.queue_pushes;
         queue_pops += o.queue_pops;
         guard_steps += o.guard_steps;
-        overflow_near_misses += o.overflow_near_misses;
+        overflow_warnings += o.overflow_warnings;
         warm_starts += o.warm_starts;
         cold_solves += o.cold_solves;
         rungs_shared += o.rungs_shared;
-        batch_solves += o.batch_solves;
-        delta_solves += o.delta_solves;
         wall_ns += o.wall_ns;
     }
 

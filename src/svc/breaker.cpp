@@ -39,13 +39,6 @@ AdmitMode CircuitBreakerBank::admit(const std::string& klass) {
     return AdmitMode::Fallback;
 }
 
-bool CircuitBreakerBank::closed(const std::string& klass) const {
-    if (config_.failure_threshold <= 0) return true;
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = classes_.find(klass);
-    return it == classes_.end() || it->second.state == BreakerState::Closed;
-}
-
 void CircuitBreakerBank::record(const std::string& klass, AdmitMode mode, bool verified) {
     if (config_.failure_threshold <= 0) return;
     const std::lock_guard<std::mutex> lock(mutex_);

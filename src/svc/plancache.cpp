@@ -1,6 +1,5 @@
 #include "svc/plancache.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -86,134 +85,7 @@ bool read_file(const std::string& path, std::string& out) {
     return in.good() || in.eof();
 }
 
-// ---- Distance-vector sidecar codec ----
-//
-// Text format, one record per line, checksummed (FNV-1a 64 over everything
-// before the trailing `sum` line, including its newline):
-//
-//   lfdist v1 <16-hex-key>
-//   n <num_nodes> <num_edges>
-//   e <from> <to> <nvectors> <x> <y> ...        (one line per edge)
-//   phase1 <count> <v> ...                      (count 0 = never solved)
-//   acyclic <count> <x> <y> ...
-//   llofra <count> <x> <y> ...
-//   sum <16-hex-checksum>
-//
-// Strict decoding: wrong magic, wrong key, count mismatches, trailing
-// garbage or a checksum mismatch all reject the file (the caller then
-// quarantines it). Losing a sidecar only costs a warm-start opportunity,
-// never a plan.
-
-std::string encode_dist(std::uint64_t key, const PlanSignature& sig,
-                        const LadderArtifacts& art) {
-    std::ostringstream os;
-    os << "lfdist v1 " << key_hex(key) << '\n';
-    os << "n " << sig.num_nodes << ' ' << sig.efrom.size() << '\n';
-    for (std::size_t e = 0; e < sig.efrom.size(); ++e) {
-        os << "e " << sig.efrom[e] << ' ' << sig.eto[e] << ' ' << sig.edge_vectors[e].size();
-        for (const Vec2& d : sig.edge_vectors[e]) os << ' ' << d.x << ' ' << d.y;
-        os << '\n';
-    }
-    os << "phase1 " << art.phase1.size();
-    for (std::int64_t v : art.phase1) os << ' ' << v;
-    os << '\n';
-    os << "acyclic " << art.acyclic.size();
-    for (const Vec2& v : art.acyclic) os << ' ' << v.x << ' ' << v.y;
-    os << '\n';
-    os << "llofra " << art.llofra.size();
-    for (const Vec2& v : art.llofra) os << ' ' << v.x << ' ' << v.y;
-    os << '\n';
-    const std::string body = os.str();
-    return body + "sum " + key_hex(fnv1a(kFnvOffset, body.data(), body.size())) + "\n";
-}
-
-bool decode_dist(std::uint64_t key, const std::string& bytes, PlanSignature& sig,
-                 LadderArtifacts& art) {
-    const std::size_t sum_at = bytes.rfind("sum ");
-    if (sum_at == std::string::npos || sum_at == 0 || bytes[sum_at - 1] != '\n') return false;
-    const std::string body = bytes.substr(0, sum_at);
-    if (bytes.compare(sum_at, std::string::npos,
-                      "sum " + key_hex(fnv1a(kFnvOffset, body.data(), body.size())) + "\n") !=
-        0) {
-        return false;
-    }
-    std::istringstream is(body);
-    std::string word;
-    std::string hex;
-    if (!(is >> word >> hex) || word != "lfdist" || hex != "v1") return false;
-    if (!(is >> hex) || hex != key_hex(key)) return false;
-    std::size_t ne = 0;
-    if (!(is >> word >> sig.num_nodes >> ne) || word != "n" || sig.num_nodes < 0) return false;
-    const auto node_ok = [&](std::int64_t v) {
-        return v >= 0 && v < static_cast<std::int64_t>(sig.num_nodes);
-    };
-    sig.efrom.resize(ne);
-    sig.eto.resize(ne);
-    sig.edge_vectors.resize(ne);
-    for (std::size_t e = 0; e < ne; ++e) {
-        std::size_t nv = 0;
-        if (!(is >> word >> sig.efrom[e] >> sig.eto[e] >> nv) || word != "e" ||
-            !node_ok(sig.efrom[e]) || !node_ok(sig.eto[e])) {
-            return false;
-        }
-        sig.edge_vectors[e].resize(nv);
-        for (Vec2& d : sig.edge_vectors[e]) {
-            if (!(is >> d.x >> d.y)) return false;
-        }
-    }
-    const auto read_scalars = [&](const char* tag, std::vector<std::int64_t>& out) {
-        std::size_t count = 0;
-        if (!(is >> word >> count) || word != tag) return false;
-        if (count != 0 && count != static_cast<std::size_t>(sig.num_nodes)) return false;
-        out.resize(count);
-        for (std::int64_t& v : out) {
-            if (!(is >> v)) return false;
-        }
-        return true;
-    };
-    const auto read_vecs = [&](const char* tag, std::vector<Vec2>& out) {
-        std::size_t count = 0;
-        if (!(is >> word >> count) || word != tag) return false;
-        if (count != 0 && count != static_cast<std::size_t>(sig.num_nodes)) return false;
-        out.resize(count);
-        for (Vec2& v : out) {
-            if (!(is >> v.x >> v.y)) return false;
-        }
-        return true;
-    };
-    if (!read_scalars("phase1", art.phase1) || !read_vecs("acyclic", art.acyclic) ||
-        !read_vecs("llofra", art.llofra)) {
-        return false;
-    }
-    return !(is >> word);  // trailing garbage rejects
-}
-
 }  // namespace
-
-PlanSignature PlanSignature::of(const Mldg& graph) {
-    PlanSignature sig;
-    sig.num_nodes = graph.num_nodes();
-    const std::size_t ne = graph.edges().size();
-    sig.efrom.reserve(ne);
-    sig.eto.reserve(ne);
-    sig.edge_vectors.reserve(ne);
-    for (const auto& e : graph.edges()) {
-        sig.efrom.push_back(e.from);
-        sig.eto.push_back(e.to);
-        sig.edge_vectors.push_back(e.vectors);
-    }
-    return sig;
-}
-
-std::uint64_t PlanSignature::skeleton_hash() const {
-    std::uint64_t h = fnv1a_u64(kFnvOffset, static_cast<std::uint64_t>(num_nodes));
-    h = fnv1a_u64(h, efrom.size());
-    for (std::size_t e = 0; e < efrom.size(); ++e) {
-        h = fnv1a_u64(h, static_cast<std::uint64_t>(efrom[e]));
-        h = fnv1a_u64(h, static_cast<std::uint64_t>(eto[e]));
-    }
-    return h;
-}
 
 PlanCache::PlanCache(std::size_t capacity, std::string persist_dir)
     : capacity_(capacity), persist_dir_(std::move(persist_dir)) {
@@ -233,13 +105,8 @@ std::string PlanCache::plan_path(std::uint64_t key) const {
     return persist_dir_ + "/" + key_hex(key) + ".plan";
 }
 
-std::string PlanCache::dist_path(std::uint64_t key) const {
-    return persist_dir_ + "/" + key_hex(key) + ".dist";
-}
-
 std::list<PlanCache::Entry>::iterator PlanCache::promote_locked(Entry e) {
     if (entries_.size() >= capacity_) {
-        unindex_skeleton_locked(entries_.back());
         index_.erase(entries_.back().key);
         entries_.pop_back();
         ++stats_.evictions;
@@ -247,38 +114,6 @@ std::list<PlanCache::Entry>::iterator PlanCache::promote_locked(Entry e) {
     entries_.push_front(std::move(e));
     index_[entries_.front().key] = entries_.begin();
     return entries_.begin();
-}
-
-void PlanCache::index_skeleton_locked(const Entry& e) {
-    if (!e.delta_capable()) return;
-    std::vector<std::uint64_t>& bucket = skeletons_[e.sig.skeleton_hash()];
-    if (std::find(bucket.begin(), bucket.end(), e.key) == bucket.end()) bucket.push_back(e.key);
-}
-
-void PlanCache::unindex_skeleton_locked(const Entry& e) {
-    if (!e.delta_capable()) return;
-    const auto it = skeletons_.find(e.sig.skeleton_hash());
-    if (it == skeletons_.end()) return;
-    std::erase(it->second, e.key);
-    if (it->second.empty()) skeletons_.erase(it);
-}
-
-void PlanCache::load_dist_locked(Entry& e) {
-    if (persist_dir_.empty()) return;
-    if (faultpoint::triggered("svc.plancache.disk")) return;
-    const std::string path = dist_path(e.key);
-    std::string bytes;
-    if (!read_file(path, bytes)) return;  // no sidecar: entry just stays cold
-    PlanSignature sig;
-    LadderArtifacts art;
-    if (!decode_dist(e.key, bytes, sig, art) || art.empty()) {
-        quarantine_file(path);
-        ++stats_.dist_quarantined;
-        return;
-    }
-    e.sig = std::move(sig);
-    e.artifacts = std::move(art);
-    ++stats_.dist_loads;
 }
 
 std::list<PlanCache::Entry>::iterator PlanCache::disk_load_locked(std::uint64_t key,
@@ -303,44 +138,20 @@ std::list<PlanCache::Entry>::iterator PlanCache::disk_load_locked(std::uint64_t 
     e.key = key;
     if (decoded.plan.has_value()) {
         e.plan = *decoded.plan;
-        // A 2-D plan may have a distance-vector sidecar next to it; reloading
-        // it restores the entry's delta-solve capability across restarts.
-        load_dist_locked(e);
     } else {
         e.nd_plan = *decoded.nd_plan;
     }
-    const auto pos = promote_locked(std::move(e));
-    index_skeleton_locked(*pos);
-    return pos;
+    return promote_locked(std::move(e));
 }
 
 void PlanCache::disk_write_locked(const Entry& e) {
     if (persist_dir_.empty()) return;
-    // Delta-capable entries also carry a sidecar of feasible distances next
-    // to the plan file. Pure optimization state: its failure costs a counter,
-    // never the entry. Content-addressed like the plan, so an existing file
-    // already holds these bytes and is left alone.
-    const auto write_dist = [&] {
-        if (!e.delta_capable()) return;
-        const std::string dpath = dist_path(e.key);
-        std::error_code dec;
-        if (std::filesystem::exists(dpath, dec)) return;
-        if (write_file_atomic(dpath, encode_dist(e.key, e.sig, e.artifacts))) {
-            ++stats_.dist_writes;
-        } else {
-            ++stats_.disk_write_failures;
-        }
-    };
     const std::string path = plan_path(e.key);
     std::error_code ec;
     // Content-addressed and deterministic: an existing file already holds
     // these bytes, so skip the write (a quarantined slot has been renamed
-    // away and takes this path's rebuild branch). The sidecar may still be
-    // missing (entry re-admitted with artifacts it lacked before).
-    if (std::filesystem::exists(path, ec)) {
-        if (!faultpoint::triggered("svc.plancache.disk")) write_dist();
-        return;
-    }
+    // away and takes this path's rebuild branch).
+    if (std::filesystem::exists(path, ec)) return;
     if (faultpoint::triggered("svc.plancache.disk")) {
         ++stats_.disk_write_failures;
         return;
@@ -352,9 +163,7 @@ void PlanCache::disk_write_locked(const Entry& e) {
         ++stats_.disk_writes;
     } else {
         ++stats_.disk_write_failures;
-        return;
     }
-    write_dist();
 }
 
 std::uint64_t PlanCache::key_of(const Mldg& graph, const PlanOptions& options,
@@ -455,146 +264,25 @@ std::optional<FusionPlan> PlanCache::lookup(std::uint64_t key) {
     return it->second->plan;
 }
 
-void PlanCache::insert(std::uint64_t key, const FusionPlan& plan, const Mldg* graph,
-                       const LadderArtifacts* artifacts) {
+void PlanCache::insert(std::uint64_t key, const FusionPlan& plan) {
     if (capacity_ == 0) return;
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = index_.find(key);
     if (it != index_.end()) {
         // Same content re-admitted (e.g. two identical jobs racing on
         // different workers): refresh the entry, keep one copy. The disk
-        // write still runs -- it is what rebuilds a quarantined slot. If this
-        // admission brought delta-solve material the entry lacked, keep it.
-        Entry& held = *it->second;
-        if (!held.delta_capable() && graph != nullptr && artifacts != nullptr &&
-            !artifacts->empty()) {
-            held.sig = PlanSignature::of(*graph);
-            held.artifacts = *artifacts;
-            index_skeleton_locked(held);
-        }
+        // write still runs -- it is what rebuilds a quarantined slot.
         entries_.splice(entries_.begin(), entries_, it->second);
-        disk_write_locked(held);
+        disk_write_locked(*it->second);
         return;
     }
     Entry e;
     e.key = key;
     e.plan = plan;
     e.plan.stages.clear();  // the ladder trace belongs to the planning job
-    if (graph != nullptr && artifacts != nullptr && !artifacts->empty()) {
-        e.sig = PlanSignature::of(*graph);
-        e.artifacts = *artifacts;
-    }
     const auto pos = promote_locked(std::move(e));
-    index_skeleton_locked(*pos);
     ++stats_.insertions;
     disk_write_locked(*pos);
-}
-
-bool PlanCache::contains(std::uint64_t key) const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return index_.find(key) != index_.end();
-}
-
-std::optional<LadderWarmHints> PlanCache::near_miss_hints(const Mldg& graph, int max_edge_diff) {
-    if (capacity_ == 0 || max_edge_diff <= 0) return std::nullopt;
-    const PlanSignature want = PlanSignature::of(graph);
-    if (want.empty()) return std::nullopt;
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const Entry* best = nullptr;
-    std::vector<std::size_t> best_diff;  // edge ids whose vector sets differ
-    const auto bucket = skeletons_.find(want.skeleton_hash());
-    if (bucket != skeletons_.end()) {
-        for (const std::uint64_t key : bucket->second) {
-            const auto it = index_.find(key);
-            if (it == index_.end() || !it->second->delta_capable()) continue;
-            const Entry& cand = *it->second;
-            // Exact-skeleton guard: the bucket hash can collide.
-            if (cand.sig.num_nodes != want.num_nodes || cand.sig.efrom != want.efrom ||
-                cand.sig.eto != want.eto) {
-                continue;
-            }
-            std::vector<std::size_t> diff;
-            for (std::size_t e = 0; e < want.efrom.size(); ++e) {
-                if (cand.sig.edge_vectors[e] != want.edge_vectors[e]) {
-                    diff.push_back(e);
-                    if (diff.size() > static_cast<std::size_t>(max_edge_diff)) break;
-                }
-            }
-            if (diff.empty()) continue;  // exact match: that is a cache hit, not a near miss
-            if (diff.size() > static_cast<std::size_t>(max_edge_diff)) continue;
-            // Fewest differing edges wins; insertion order breaks ties (the
-            // bucket preserves it), keeping the choice deterministic.
-            if (best == nullptr || diff.size() < best_diff.size()) {
-                best = &cand;
-                best_diff = std::move(diff);
-            }
-        }
-    }
-    if (best == nullptr) {
-        ++stats_.near_miss_misses;
-        return std::nullopt;
-    }
-    // Reset region R: vertices reachable (along constraint edges, from -> to)
-    // from a differing edge's head. For v outside R every path of the new
-    // system avoids the differing edges entirely, so the neighbor's fixpoint
-    // distance is exactly the new fixpoint there; inside R, 0 is a legal
-    // over-estimate (every fixpoint of these all-zero-source systems is
-    // <= 0). Either way F_new <= d0 <= 0 holds pointwise, which is the
-    // solver's warm-start legality condition -- the re-plan lands on the
-    // canonical fixpoint and is bit-identical to a cold plan.
-    const int n = want.num_nodes;
-    std::vector<std::vector<int>> out(static_cast<std::size_t>(n));
-    for (std::size_t e = 0; e < want.efrom.size(); ++e) {
-        out[static_cast<std::size_t>(want.efrom[e])].push_back(want.eto[e]);
-    }
-    std::vector<unsigned char> reset(static_cast<std::size_t>(n), 0);
-    std::vector<int> frontier;
-    for (const std::size_t e : best_diff) {
-        const int head = want.eto[e];
-        if (reset[static_cast<std::size_t>(head)] == 0) {
-            reset[static_cast<std::size_t>(head)] = 1;
-            frontier.push_back(head);
-        }
-    }
-    for (std::size_t q = 0; q < frontier.size(); ++q) {
-        for (const int v : out[static_cast<std::size_t>(frontier[q])]) {
-            if (reset[static_cast<std::size_t>(v)] == 0) {
-                reset[static_cast<std::size_t>(v)] = 1;
-                frontier.push_back(v);
-            }
-        }
-    }
-    LadderWarmHints hints;
-    const LadderArtifacts& art = best->artifacts;
-    if (art.phase1.size() == static_cast<std::size_t>(n)) {
-        hints.phase1.resize(static_cast<std::size_t>(n));
-        for (int v = 0; v < n; ++v) {
-            hints.phase1[static_cast<std::size_t>(v)] =
-                reset[static_cast<std::size_t>(v)] ? 0 : art.phase1[static_cast<std::size_t>(v)];
-        }
-    }
-    if (art.acyclic.size() == static_cast<std::size_t>(n)) {
-        hints.acyclic.resize(static_cast<std::size_t>(n));
-        for (int v = 0; v < n; ++v) {
-            hints.acyclic[static_cast<std::size_t>(v)] =
-                reset[static_cast<std::size_t>(v)] ? Vec2{0, 0}
-                                                   : art.acyclic[static_cast<std::size_t>(v)];
-        }
-    }
-    if (art.llofra.size() == static_cast<std::size_t>(n)) {
-        hints.llofra.resize(static_cast<std::size_t>(n));
-        for (int v = 0; v < n; ++v) {
-            hints.llofra[static_cast<std::size_t>(v)] =
-                reset[static_cast<std::size_t>(v)] ? Vec2{0, 0}
-                                                   : art.llofra[static_cast<std::size_t>(v)];
-        }
-    }
-    if (hints.empty()) {
-        ++stats_.near_miss_misses;
-        return std::nullopt;
-    }
-    ++stats_.near_miss_hits;
-    return hints;
 }
 
 std::optional<NdFusionPlan> PlanCache::lookup_nd(std::uint64_t key) {
@@ -637,23 +325,16 @@ void PlanCache::invalidate(std::uint64_t key) {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = index_.find(key);
     if (it == index_.end()) return;
-    unindex_skeleton_locked(*it->second);
     entries_.erase(it->second);
     index_.erase(it);
     ++stats_.invalidated;
-    // A certify-failing entry must not resurrect from disk on the next miss,
-    // and its sidecar is equally suspect: neither may seed future plans.
+    // A certify-failing entry must not resurrect from disk on the next miss.
     if (!persist_dir_.empty()) {
         std::error_code ec;
         const std::string path = plan_path(key);
         if (std::filesystem::exists(path, ec)) {
             quarantine_file(path);
             ++stats_.disk_quarantined;
-        }
-        const std::string dpath = dist_path(key);
-        if (std::filesystem::exists(dpath, ec)) {
-            quarantine_file(dpath);
-            ++stats_.dist_quarantined;
         }
     }
 }

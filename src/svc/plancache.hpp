@@ -43,7 +43,9 @@
 // state heals instead of wedging. Eviction from the memory LRU leaves the
 // disk file in place -- that is the tier's point: warm state survives both
 // eviction and process death. The "svc.plancache.disk" fault point makes
-// disk reads miss and disk writes fail on demand.
+// disk reads miss and disk writes fail on demand. The tier reads and writes
+// `.plan` files only; any other file in the directory (such as a `.dist`
+// sidecar an older build left behind) is never read, renamed or counted.
 
 #include <cstdint>
 #include <list>
@@ -51,33 +53,12 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "fusion/driver.hpp"
-#include "fusion/ladder.hpp"
 #include "fusion/multidim.hpp"
 
 namespace lf::svc {
-
-/// Structural signature of a cached 2-D job's constraint system: the edge
-/// skeleton (node count + endpoints) plus every edge's dependence-vector
-/// set. This is exactly the information the planning ladder's constraint
-/// systems depend on -- node names, order and body costs are irrelevant and
-/// deliberately not stored -- so it is enough both to find structural
-/// near-misses and to BFS the region a differing edge can affect when
-/// deriving a delta warm-start.
-struct PlanSignature {
-    int num_nodes = 0;
-    std::vector<int> efrom;
-    std::vector<int> eto;
-    /// Per-edge sorted vector sets, as the MLDG stores them.
-    std::vector<std::vector<Vec2>> edge_vectors;
-
-    [[nodiscard]] static PlanSignature of(const Mldg& graph);
-    /// Hash of (num_nodes, efrom, eto) only -- buckets graphs that can share
-    /// a lockstep ladder (same skeleton, any bounds).
-    [[nodiscard]] std::uint64_t skeleton_hash() const;
-    [[nodiscard]] bool empty() const { return num_nodes == 0; }
-};
 
 /// Where a job's plan came from, for the run report.
 enum class CacheOutcome {
@@ -112,21 +93,6 @@ struct PlanCacheStats {
     /// `*.quarantined`, and left for offline inspection; the slot rebuilds
     /// on the next insert.
     std::uint64_t disk_quarantined = 0;
-    /// Delta re-planning (near_miss_hints): queries that found a cached
-    /// structural neighbor within the edge-diff budget and derived a
-    /// warm-start, vs. queries that found none.
-    std::uint64_t near_miss_hits = 0;
-    std::uint64_t near_miss_misses = 0;
-    /// Distance-vector sidecars (`<key>.dist`) atomically written alongside
-    /// plan files (failures count into disk_write_failures).
-    std::uint64_t dist_writes = 0;
-    /// Sidecars reloaded from disk when a plan file was promoted back into
-    /// the LRU (restores the entry's delta-solve capability after restart).
-    std::uint64_t dist_loads = 0;
-    /// Sidecars renamed to `*.quarantined` -- corrupt on load, or belonging
-    /// to an invalidated entry; the plan tier stays independent, the slot
-    /// just cannot seed delta re-plans until re-admitted.
-    std::uint64_t dist_quarantined = 0;
 };
 
 class PlanCache {
@@ -166,31 +132,7 @@ class PlanCache {
     /// Inserts (or refreshes) the plan under `key`, evicting the least
     /// recently used entry when at capacity. The stored copy drops the
     /// per-rung `stages` trace. No-op at capacity 0.
-    ///
-    /// `graph` + `artifacts` (both or neither) additionally store the job's
-    /// structural signature and the ladder's feasible distance vectors, which
-    /// makes the entry a candidate seed for near_miss_hints and writes the
-    /// `<key>.dist` sidecar on the persistent tier.
-    void insert(std::uint64_t key, const FusionPlan& plan, const Mldg* graph = nullptr,
-                const LadderArtifacts* artifacts = nullptr);
-
-    /// Non-mutating membership peek: no recency refresh, no stats, no disk
-    /// consultation. The service's batch prepass uses it to skip jobs whose
-    /// upcoming lookup() will be served from memory anyway.
-    [[nodiscard]] bool contains(std::uint64_t key) const;
-
-    /// Delta re-planning: finds a cached entry whose graph shares `graph`'s
-    /// constraint skeleton and differs on at most `max_edge_diff` edges'
-    /// dependence-vector sets, and derives ladder warm-start potentials from
-    /// its stored fixpoints: every vertex reachable (along constraint edges,
-    /// from -> to) from a differing edge's head is reset to zero, the rest
-    /// keep the neighbor's distances -- provably equal to the target
-    /// fixpoint there, so the re-plan is bit-identical to a cold plan (see
-    /// graph/bellman_ford.hpp on warm-start legality). Exact matches are
-    /// skipped (those are cache hits, not near misses); candidates with the
-    /// fewest differing edges win, ties broken by insertion order.
-    [[nodiscard]] std::optional<LadderWarmHints> near_miss_hints(const Mldg& graph,
-                                                                 int max_edge_diff);
+    void insert(std::uint64_t key, const FusionPlan& plan);
 
     /// Depth-d lookup: returns the cached N-D plan (recency refreshed) or
     /// nullopt. An entry that holds a 2-D plan under the key (impossible
@@ -212,12 +154,6 @@ class PlanCache {
     /// dir). Exposed so tests and drills can corrupt entries on purpose.
     [[nodiscard]] std::string plan_path(std::uint64_t key) const;
 
-    /// Path of `key`'s distance-vector sidecar (`<16-hex-key>.dist`): the
-    /// checksummed text image of the entry's PlanSignature and
-    /// LadderArtifacts, written atomically next to the plan file and
-    /// quarantined (renamed `*.quarantined`) when it fails to decode.
-    [[nodiscard]] std::string dist_path(std::uint64_t key) const;
-
     /// Keys in eviction order (least recently used first). For tests.
     [[nodiscard]] std::vector<std::uint64_t> lru_keys() const;
 
@@ -227,14 +163,6 @@ class PlanCache {
         FusionPlan plan;
         /// Set for depth-d entries; `plan` is then unused.
         std::optional<NdFusionPlan> nd_plan;
-        /// Delta-solve seed material (2-D entries inserted with a graph and
-        /// ladder artifacts only; empty otherwise).
-        PlanSignature sig;
-        LadderArtifacts artifacts;
-
-        [[nodiscard]] bool delta_capable() const {
-            return !nd_plan.has_value() && !sig.empty() && !artifacts.empty();
-        }
     };
 
     /// Memory-miss path: consults the disk tier (when configured), promotes
@@ -248,13 +176,6 @@ class PlanCache {
     /// Promotes `e` to the front of the LRU, evicting at capacity. Caller
     /// holds mutex_.
     std::list<Entry>::iterator promote_locked(Entry e);
-    /// Adds/removes a delta-capable entry to/from the skeleton index.
-    /// Callers hold mutex_.
-    void index_skeleton_locked(const Entry& e);
-    void unindex_skeleton_locked(const Entry& e);
-    /// Loads `e.key`'s `.dist` sidecar into `e` (after a disk plan
-    /// promotion); quarantines a corrupt sidecar. Caller holds mutex_.
-    void load_dist_locked(Entry& e);
 
     const std::size_t capacity_;
     std::string persist_dir_;
@@ -262,9 +183,6 @@ class PlanCache {
     // Most recently used at the front; map values point into the list.
     std::list<Entry> entries_;
     std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
-    /// skeleton_hash -> cache keys of delta-capable entries, in insertion
-    /// order (drives near_miss_hints' deterministic tie-break).
-    std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> skeletons_;
     PlanCacheStats stats_;
 };
 

@@ -27,12 +27,10 @@ void write_solver_stats(json::Writer& w, const SolverStats& st, bool include_tim
     w.kv("queue_pushes", st.queue_pushes);
     w.kv("queue_pops", st.queue_pops);
     w.kv("guard_steps", st.guard_steps);
-    w.kv("overflow_near_misses", st.overflow_near_misses);
+    w.kv("overflow_warnings", st.overflow_warnings);
     w.kv("warm_starts", st.warm_starts);
     w.kv("cold_solves", st.cold_solves);
     w.kv("rungs_shared", st.rungs_shared);
-    w.kv("batch_solves", st.batch_solves);
-    w.kv("delta_solves", st.delta_solves);
     if (include_timings) w.kv("wall_ns", st.wall_ns);
     w.end_object();
 }
@@ -140,8 +138,6 @@ std::string report_to_json(const RunReport& report, bool include_timings) {
     w.kv("checkpoint_failures", report.checkpoint_failures);
     w.kv("checkpoint_malformed", report.checkpoint_malformed);
     w.kv("plan_store", report.config.plan_store_dir);
-    w.kv("plan_batch", report.config.plan_batch);
-    w.kv("delta_max_edges", report.config.delta_max_edges);
     w.kv("plan_policy", to_string(report.config.plan_policy));
     w.end_object();
 
@@ -173,11 +169,6 @@ std::string report_to_json(const RunReport& report, bool include_timings) {
     w.kv("disk_writes", report.plancache.disk_writes);
     w.kv("disk_write_failures", report.plancache.disk_write_failures);
     w.kv("disk_quarantined", report.plancache.disk_quarantined);
-    w.kv("near_miss_hits", report.plancache.near_miss_hits);
-    w.kv("near_miss_misses", report.plancache.near_miss_misses);
-    w.kv("dist_writes", report.plancache.dist_writes);
-    w.kv("dist_loads", report.plancache.dist_loads);
-    w.kv("dist_quarantined", report.plancache.dist_quarantined);
     w.end_object();
 
     w.key("exec").begin_object();

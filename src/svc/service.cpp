@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdio>
 #include <optional>
-#include <span>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -13,7 +12,6 @@
 #include "exec/native.hpp"
 #include "fusion/certify.hpp"
 #include "fusion/driver.hpp"
-#include "fusion/ladder.hpp"
 #include "fusion/multidim.hpp"
 #include "graph/solver_workspace.hpp"
 #include "ir/parser.hpp"
@@ -125,8 +123,6 @@ ServiceConfig normalize(ServiceConfig config) {
     if (config.workers < 1) config.workers = 1;
     if (config.retry.max_attempts < 1) config.retry.max_attempts = 1;
     if (config.retry.escalation < 1) config.retry.escalation = 1;
-    if (config.plan_batch < 1) config.plan_batch = 1;
-    if (config.delta_max_edges < 0) config.delta_max_edges = 0;
     if (config.exec_threads < 1) config.exec_threads = 1;
     // A persistent plan tier implies a persistent object tier: compiled
     // kernels live beside the plans unless the caller chose otherwise.
@@ -229,73 +225,7 @@ void FusionService::checkpoint_job(const JobRecord& rec) {
     }
 }
 
-void FusionService::prepass_chunk(const std::vector<JobSpec>& jobs,
-                                  const std::vector<JobRecord>& recs, std::size_t begin,
-                                  std::size_t end, std::vector<PrePlanned>& pre,
-                                  PlannerWorkspace& ws) {
-    if (config_.plan_batch <= 1 || end - begin < 2) return;
-    // Any armed fault point forces every job onto the sequential path: the
-    // faulted pipeline must run per job exactly as the trace machinery
-    // expects, and nothing a faulted run computes may be shared.
-    if (!faultpoint::armed_points().empty()) return;
-
-    std::vector<BatchPlanJob> batch;
-    std::vector<std::size_t> owner;  // batch slot -> begin-relative job index
-    // Stable storage for delta hints (BatchPlanJob keeps pointers into it).
-    std::vector<LadderWarmHints> hints;
-    hints.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-        const JobSpec& job = jobs[i];
-        // Eligibility mirrors what process_job's first full-strength attempt
-        // would do, so consuming the pre-plan is a pure reordering:
-        //   * 2-D only (the N-D path has no ladder to share);
-        //   * not restored from the checkpoint (never replanned at all);
-        //   * no deadline (the prepass cannot meter another job's clock);
-        //   * breaker closed (Fallback attempts plan distribution_only);
-        //   * not already served by the resident cache.
-        if (job.depth > 2 || recs[i].from_checkpoint) continue;
-        if (effective_deadline_ms(config_.retry, job) >= 0) continue;
-        if (!breakers_.closed(job.klass)) continue;
-        if (config_.plan_cache_capacity > 0 &&
-            plan_cache_.contains(PlanCache::key_of(job.graph, plan_options(),
-                                                   /*allow_distribution_fallback=*/true))) {
-            continue;
-        }
-        BatchPlanJob b;
-        b.graph = &job.graph;
-        if (config_.delta_max_edges > 0) {
-            std::optional<LadderWarmHints> h =
-                plan_cache_.near_miss_hints(job.graph, config_.delta_max_edges);
-            if (h.has_value()) {
-                hints.push_back(std::move(*h));
-                b.hints = &hints.back();
-            }
-        }
-        batch.push_back(b);
-        owner.push_back(i - begin);
-    }
-    if (batch.size() < 2) return;
-
-    TryPlanOptions opts;
-    opts.plan = plan_options();
-    opts.workspace = &ws;
-    opts.limits.max_steps = escalated_steps(config_.retry, 1);
-    try {
-        try_plan_fusion_batch(std::span<BatchPlanJob>(batch), opts);
-    } catch (const std::exception&) {
-        // Batch planning is best-effort; the sequential path redoes
-        // everything (and records whatever actually goes wrong per job).
-        return;
-    }
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-        if (!batch[k].result.has_value()) continue;
-        pre[owner[k]].result = std::move(batch[k].result);
-        pre[owner[k]].artifacts = std::move(batch[k].artifacts);
-    }
-}
-
-void FusionService::process_job(const JobSpec& job, JobRecord& rec, PlannerWorkspace& ws,
-                                PrePlanned* pre) {
+void FusionService::process_job(const JobSpec& job, JobRecord& rec, PlannerWorkspace& ws) {
     if (job.depth > 2) {
         process_job_nd(job, rec, ws);
         return;
@@ -429,37 +359,13 @@ void FusionService::process_job(const JobSpec& job, JobRecord& rec, PlannerWorks
             // is the service's own last line of defense (a worker must
             // survive anything a job does).
             std::optional<Result<FusionPlan>> result;
-            LadderArtifacts artifacts;
-            if (attempt == 1 && mode != AdmitMode::Fallback && pre != nullptr &&
-                pre->result.has_value()) {
-                // The chunk prepass already planned this job, batched with its
-                // skeleton-mates, under these exact options (prepass_chunk's
-                // eligibility rules guarantee the match). Bit-identical to
-                // planning here, so the rest of the attempt cannot tell.
-                result = std::move(pre->result);
-                artifacts = std::move(pre->artifacts);
-                pre->result.reset();
-            } else {
-                // Incremental re-planning: a structural near-miss of a cached
-                // entry seeds the ladder with that entry's distances. The
-                // warm start never changes the plan (see fusion/ladder.hpp),
-                // so the certify + replay gate treats it like any cold plan.
-                std::optional<LadderWarmHints> delta;
-                if (attempt == 1 && cache_usable && rec.cache == CacheOutcome::Miss &&
-                    config_.delta_max_edges > 0 && !opts.distribution_only) {
-                    delta = plan_cache_.near_miss_hints(job.graph, config_.delta_max_edges);
-                    if (delta.has_value()) opts.warm_hints = &*delta;
-                }
-                opts.artifacts = &artifacts;
-                try {
-                    result.emplace(try_plan_fusion(job.graph, opts));
-                } catch (const std::exception& e) {
-                    att.code = StatusCode::Internal;
-                    att.detail = std::string("planner threw: ") + e.what();
-                    att.stages.push_back(
-                        make_stage("svc.plan", StatusCode::Internal, att.detail));
-                    retryable = true;
-                }
+            try {
+                result.emplace(try_plan_fusion(job.graph, opts));
+            } catch (const std::exception& e) {
+                att.code = StatusCode::Internal;
+                att.detail = std::string("planner threw: ") + e.what();
+                att.stages.push_back(make_stage("svc.plan", StatusCode::Internal, att.detail));
+                retryable = true;
             }
             if (result.has_value() && result->ok()) {
                 const FusionPlan& plan = result->value();
@@ -493,9 +399,7 @@ void FusionService::process_job(const JobSpec& job, JobRecord& rec, PlannerWorks
                     // Memoize only fully admitted plans, and only when the
                     // cache was actually consulted (a bypassed job -- fault
                     // armed, distribution-only -- must not write either).
-                    // The ladder's feasible distances ride along, making the
-                    // entry a seed for future near-miss delta re-plans.
-                    if (cacheable) plan_cache_.insert(cache_key, plan, &job.graph, &artifacts);
+                    if (cacheable) plan_cache_.insert(cache_key, plan);
                     finish(JobStatus::Verified, {});
                     return;
                 }
@@ -746,33 +650,16 @@ RunReport FusionService::run(const std::vector<JobSpec>& jobs) {
 
     std::atomic<std::size_t> next{0};
     const int nworkers = std::min<int>(config_.workers, static_cast<int>(jobs.size()));
-    // Batch size never starves a worker: on small manifests the chunk
-    // shrinks toward an even split so the pool still runs fully parallel.
-    const std::size_t per_worker =
-        jobs.empty() ? 1
-                     : (jobs.size() + static_cast<std::size_t>(std::max(nworkers, 1)) - 1) /
-                           static_cast<std::size_t>(std::max(nworkers, 1));
-    const std::size_t chunk =
-        std::max<std::size_t>(1, std::min<std::size_t>(
-                                     static_cast<std::size_t>(config_.plan_batch), per_worker));
     auto worker = [&]() {
         // One solver arena per worker thread: every job this thread plans
         // reuses the same scratch buffers, so steady-state planning is
-        // allocation-free (see graph/solver_workspace.hpp). Workers pull
-        // plan_batch jobs at a time; eligible chunk-mates pre-plan as one
-        // try_plan_fusion_batch call (skeleton-sharing lockstep solves)
-        // before each job runs through run_job's per-job path.
+        // allocation-free (see graph/solver_workspace.hpp). Workers pull one
+        // job at a time and run it through run_job's per-job path.
         PlannerWorkspace ws;
         for (;;) {
-            const std::size_t begin = next.fetch_add(chunk);
-            if (begin >= jobs.size()) return;
-            const std::size_t end = std::min(jobs.size(), begin + chunk);
-            std::vector<PrePlanned> pre(end - begin);
-            prepass_chunk(jobs, report.jobs, begin, end, pre, ws);
-            for (std::size_t i = begin; i < end; ++i) {
-                if (report.jobs[i].from_checkpoint) continue;
-                process_job(jobs[i], report.jobs[i], ws, &pre[i - begin]);
-            }
+            const std::size_t i = next.fetch_add(1);
+            if (i >= jobs.size()) return;
+            if (!report.jobs[i].from_checkpoint) process_job(jobs[i], report.jobs[i], ws);
         }
     };
 

@@ -314,6 +314,73 @@ TEST(Spfa, DifferentialAgainstBellmanFord2D) {
     }
 }
 
+/// Solves `edges` with the predecessor-cycle probe off and on; the verdict,
+/// the status and a feasible fixpoint must not depend on it, and the
+/// probe's witness must be a real negative cycle. Returns whether feasible.
+template <typename W>
+bool expect_probe_transparent(int n, const std::vector<WeightedEdge<W>>& edges,
+                              std::uint64_t seed) {
+    const auto plain = bellman_ford_all_sources<W>(n, edges);
+    const auto probed = bellman_ford_all_sources<W>(n, edges, nullptr, nullptr, {}, nullptr,
+                                                    nullptr, /*early_cycle_exit=*/true);
+    EXPECT_EQ(plain.status, StatusCode::Ok) << "seed " << seed;
+    EXPECT_EQ(probed.status, plain.status) << "seed " << seed;
+    EXPECT_EQ(probed.has_negative_cycle, plain.has_negative_cycle) << "seed " << seed;
+    if (!plain.has_negative_cycle) {
+        EXPECT_EQ(probed.dist, plain.dist) << "seed " << seed;
+        return true;
+    }
+    const std::vector<int>& cycle = probed.negative_cycle;
+    EXPECT_FALSE(cycle.empty()) << "seed " << seed;
+    W sum{};
+    for (std::size_t k = 0; k < cycle.size(); ++k) {
+        const auto& e = edges[static_cast<std::size_t>(cycle[k])];
+        const auto& next = edges[static_cast<std::size_t>(cycle[(k + 1) % cycle.size()])];
+        EXPECT_EQ(e.to, next.from) << "seed " << seed;
+        sum = sum + e.weight;
+    }
+    EXPECT_LT(sum, W{}) << "seed " << seed;
+    return false;
+}
+
+TEST(BellmanFord, CycleProbeNeverChangesTheOutcome1D) {
+    // Same random systems as the SPFA differential above.
+    int feasible = 0;
+    int infeasible = 0;
+    for (std::uint64_t seed = 0; seed < 60; ++seed) {
+        Rng rng(seed * 71 + 13);
+        const int n = static_cast<int>(rng.uniform(2, 12));
+        std::vector<WeightedEdge<std::int64_t>> edges;
+        const int m = static_cast<int>(rng.uniform(1, 4 * n));
+        for (int k = 0; k < m; ++k) {
+            edges.push_back({static_cast<int>(rng.uniform(0, n - 1)),
+                             static_cast<int>(rng.uniform(0, n - 1)), rng.uniform(-3, 8)});
+        }
+        ++(expect_probe_transparent(n, edges, seed) ? feasible : infeasible);
+    }
+    EXPECT_GT(feasible, 0);
+    EXPECT_GT(infeasible, 0);
+}
+
+TEST(BellmanFord, CycleProbeNeverChangesTheOutcome2D) {
+    int feasible = 0;
+    int infeasible = 0;
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+        Rng rng(seed * 101 + 29);
+        const int n = static_cast<int>(rng.uniform(2, 10));
+        std::vector<WeightedEdge<Vec2>> edges;
+        const int m = static_cast<int>(rng.uniform(1, 3 * n));
+        for (int k = 0; k < m; ++k) {
+            edges.push_back({static_cast<int>(rng.uniform(0, n - 1)),
+                             static_cast<int>(rng.uniform(0, n - 1)),
+                             Vec2{rng.uniform(-1, 4), rng.uniform(-5, 5)}});
+        }
+        ++(expect_probe_transparent(n, edges, seed) ? feasible : infeasible);
+    }
+    EXPECT_GT(feasible, 0);
+    EXPECT_GT(infeasible, 0);
+}
+
 TEST(Algorithms, SccOnTwoComponents) {
     // 0 <-> 1 strongly connected; 2 alone; 3 -> 2.
     Adjacency adj{{1}, {0}, {}, {2}};

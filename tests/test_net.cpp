@@ -366,9 +366,6 @@ TEST_F(NetTest, TenantQuotaShedsWithRetryAfterHint) {
 TEST_F(NetTest, QueueDepthShedsWhenInflightCapReached) {
     ServerConfig config;
     config.max_inflight = 1;
-    // The reader's parse of job 1 counts as connection idle time, and takes
-    // seconds under sanitizers.
-    config.idle_timeout_ms = 60000;
     TestServer ts(config);
     BlockingClient client;
     ASSERT_TRUE(client.connect("127.0.0.1", ts.server.port()));
@@ -529,6 +526,34 @@ TEST_F(NetTest, IdleConnectionsAreReaped) {
     const auto r = client.recv(3000);  // say nothing; wait for the server
     EXPECT_EQ(r.status, BlockingClient::RecvStatus::Closed);
     EXPECT_EQ(ts.server.stats().idle_timeouts, 1u);
+}
+
+TEST_F(NetTest, ConnectionOwedAReplyIsNeverIdleReaped) {
+    ServerConfig config;
+    // Far below what parsing and planning the job below take, so the reader
+    // and the worker spend several idle timeouts on it.
+    config.idle_timeout_ms = 20;
+    // No step budget: the ladder solves every rung instead of falling back.
+    config.service.retry.initial_steps = kUnlimitedSteps;
+    TestServer ts(config);
+    // A 3000-loop chain whose edges are listed back to front: the ladder's
+    // first rung needs ~3000 Bellman-Ford passes (tens of ms cold, Release),
+    // after the reader spent tens of ms parsing the payload.
+    Mldg chain;
+    for (int v = 0; v < 3000; ++v) chain.add_node("L" + std::to_string(v));
+    for (int v = 2998; v >= 0; --v) chain.add_edge(v, v + 1, {{0, 0}});
+    BlockingClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", ts.server.port()));
+    ASSERT_TRUE(client.send(mldg_request(1, serialize_mldg(chain, "chain"))));
+    const auto r = client.recv(60000);
+    ASSERT_EQ(r.status, BlockingClient::RecvStatus::Ok) << client.last_error();
+    EXPECT_EQ(r.frame.type, FrameType::Response);
+    EXPECT_EQ(r.frame.request_id, 1u);
+    EXPECT_NE(r.frame.payload.find("Algorithm 3"), std::string::npos) << r.frame.payload;
+    // Once nothing is owed, the connection idles out as usual.
+    EXPECT_TRUE(wait_for_stats(ts.server, [](const ServerStats& s) {
+        return s.idle_timeouts == 1;
+    }));
 }
 
 TEST_F(NetTest, SlowLorisMidFrameTricklersAreReaped) {

@@ -13,6 +13,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -339,6 +340,95 @@ TEST_F(PlanCacheTest, PersistedPlanSurvivesAProcessRestartByteIdentical) {
     ASSERT_TRUE(fresh.lookup(key).has_value());
     EXPECT_EQ(fresh.stats().disk_hits, 1u);
     EXPECT_EQ(fresh.stats().hits, 2u);
+}
+
+TEST_F(PlanCacheTest, LeftoverDistSidecarsAreIgnored) {
+    // A store written by a build that still had delta re-planning: fig2's
+    // plan file, its `.dist` distance-vector sidecar and a quarantined
+    // sidecar, byte for byte as that build left them.
+    const std::string plan_bytes = R"(lfplan v1
+key 4b2e6afbc0d8ae5f
+flavor 2d
+dim 2
+algorithm 1
+level 0
+schedule 1 0
+hyperplane 0 1
+failed_phase -1
+retiming 4
+r 0 0
+r 0 0
+r -1 0
+r -1 -1
+body_order 4 0 1 2 3
+nodes 4
+node 0 2 A
+node 1 3 B
+node 2 6 C
+node 3 2 D
+edges 6
+edge 0 1 2
+v 1 1
+v 2 1
+edge 1 2 2
+v 1 -2
+v 1 1
+edge 2 3 1
+v 0 0
+edge 0 2 1
+v 1 1
+edge 3 0 1
+v 1 0
+edge 2 2 1
+v 1 0
+checksum 28a98643b32e9e83
+)";
+    const std::string dist_bytes = R"(lfdist v1 4b2e6afbc0d8ae5f
+n 4 6
+e 0 1 2 1 1 2 1
+e 1 2 2 0 -2 0 1
+e 2 3 1 0 -1
+e 0 2 1 0 1
+e 3 0 1 2 1
+e 2 2 1 1 0
+phase1 4 0 0 -1 -1
+acyclic 0
+llofra 0
+sum ef0a7c19ead71d42
+)";
+    const std::string quarantined_bytes = "lfdist v1 torn";
+    const std::uint64_t key = PlanCache::key_of(workloads::fig2_graph(), PlanOptions{}, true);
+    ASSERT_EQ(key, 0x4b2e6afbc0d8ae5full) << "the cache key scheme must not drift";
+    TempStoreDir dir("leftover_dist");
+    const std::string stem = dir.path + "/4b2e6afbc0d8ae5f";
+    write_raw(stem + ".plan", plan_bytes);
+    write_raw(stem + ".dist", dist_bytes);
+    write_raw(stem + ".dist.quarantined", quarantined_bytes);
+
+    PlanCache cache(8, dir.path);
+    const auto hit = cache.lookup(key);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(planstore::encode_file(key, *hit), plan_bytes) << "served byte-identical";
+    EXPECT_EQ(plan_fingerprint(*hit), plan_fingerprint(fig2_plan()));
+    cache.insert(key, *hit);  // re-admission: the plan file already holds these bytes
+    cache.invalidate(key);    // quarantines the plan file, nothing else
+    const PlanCacheStats st = cache.stats();
+    EXPECT_EQ(st.disk_hits, 1u);
+    EXPECT_EQ(st.disk_writes, 0u);
+    EXPECT_EQ(st.disk_write_failures, 0u);
+    EXPECT_EQ(st.disk_quarantined, 1u);
+
+    // The sidecars were never read, renamed or rewritten.
+    std::vector<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
+        names.push_back(entry.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names, (std::vector<std::string>{"4b2e6afbc0d8ae5f.dist",
+                                               "4b2e6afbc0d8ae5f.dist.quarantined",
+                                               "4b2e6afbc0d8ae5f.plan.quarantined"}));
+    EXPECT_EQ(slurp_file(stem + ".dist"), dist_bytes);
+    EXPECT_EQ(slurp_file(stem + ".dist.quarantined"), quarantined_bytes);
 }
 
 TEST_F(PlanCacheTest, EvictionLeavesTheDiskFileToReloadLater) {

@@ -219,6 +219,12 @@ TEST_F(SvcTest, CertifyFaultQuarantinesEveryJob) {
     faultpoint::arm("svc.verify.certify");
     ServiceConfig config;
     config.workers = 2;
+    // Breaker off: every attempt is full-strength. With it on, the paper
+    // class's breaker can open before fig14 plans, and fig14's short-circuit
+    // to distribution-only is then rejected for the wrong reason (not
+    // program-model legal) -- a schedule-dependent verdict that
+    // BreakerOpensAndShortCircuitsToFallback already covers.
+    config.breaker.failure_threshold = 0;
     FusionService service(config);
     const RunReport report = service.run(gallery_jobs());
 
@@ -228,6 +234,9 @@ TEST_F(SvcTest, CertifyFaultQuarantinesEveryJob) {
         EXPECT_FALSE(job.certified) << job.id;
         EXPECT_NE(job.quarantine_reason.find("certification failed"), std::string::npos)
             << job.id << ": " << job.quarantine_reason;
+        for (const auto& att : job.attempts) {
+            EXPECT_FALSE(att.short_circuited) << job.id << " attempt " << att.number;
+        }
     }
 }
 
